@@ -15,10 +15,10 @@
 #include "core/pipeline.hpp"
 #include "core/session.hpp"
 #include "core/stages.hpp"
+#include "channel/camera.hpp"
 #include "channel/link.hpp"
 #include "imgproc/filter.hpp"
 #include "imgproc/pool.hpp"
-#include "imgproc/resize.hpp"
 #include "simd/simd.hpp"
 #include "util/csv.hpp"
 #include "util/prng.hpp"
@@ -171,16 +171,22 @@ void bm_box_blur(benchmark::State& state)
 }
 BENCHMARK(bm_box_blur)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
-void bm_resize_area(benchmark::State& state)
+// The camera optics on the paper rig: area resample, sub-pixel shift and
+// lens blur of a 1920x1080 screen onto the 1280x720 sensor.
+void bm_optics_to_sensor(benchmark::State& state)
 {
     util::Prng prng(4);
     img::Imagef image(1920, 1080, 1);
     for (auto& v : image.values()) v = static_cast<float>(prng.next_double(0, 255));
+    const channel::Camera_optics optics(channel::Camera_params{}, 1920, 1080);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(img::resize_area(image, 1280, 720));
+        img::Imagef sensor = optics.to_sensor(image);
+        benchmark::DoNotOptimize(sensor.values().data());
+        benchmark::ClobberMemory();
+        img::Frame_pool::instance().recycle(std::move(sensor));
     }
 }
-BENCHMARK(bm_resize_area)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_optics_to_sensor)->Unit(benchmark::kMillisecond);
 
 void bm_reed_solomon_decode(benchmark::State& state)
 {
@@ -246,16 +252,12 @@ void run_simd_speedup_table(const bench::Args& args)
     std::vector<float> fb(n);
     std::vector<float> fout(n);
     std::vector<double> dacc(n);
-    std::vector<std::uint8_t> ua(n);
-    std::vector<std::uint8_t> ub(n);
     std::vector<std::uint8_t> uout(n);
     std::vector<std::uint32_t> mask(n);
     for (int i = 0; i < n; ++i) {
         fa[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
         fb[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
         dacc[static_cast<std::size_t>(i)] = prng.next_double(0, 1.0e6);
-        ua[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(prng.next_int(0, 255));
-        ub[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(prng.next_int(0, 255));
         mask[static_cast<std::size_t>(i)] = (i & 1) ? ~std::uint32_t{0} : 0u;
     }
 
@@ -273,17 +275,6 @@ void run_simd_speedup_table(const bench::Args& args)
         blur_out[s] = blur_dst[s].data();
     }
 
-    // bilinear_row: downscale-style sampling plan over a 1920-wide row.
-    std::vector<std::int32_t> idx0(n);
-    std::vector<std::int32_t> idx1(n);
-    std::vector<float> tx(n);
-    for (int i = 0; i < n; ++i) {
-        const auto s = static_cast<std::size_t>(i);
-        idx0[s] = static_cast<std::int32_t>(prng.next_int(0, blur_width - 2));
-        idx1[s] = idx0[s] + 1;
-        tx[s] = static_cast<float>(prng.next_double(0.0, 1.0));
-    }
-
     struct Kernel_case {
         const char* name;
         std::function<void(const Kernels&)> call;
@@ -296,22 +287,12 @@ void run_simd_speedup_table(const bench::Args& args)
         {"absdiff_f32",
          [&](const Kernels& k) { k.absdiff_f32(fa.data(), fb.data(), fout.data(), n); }},
         {"quantize_u8", [&](const Kernels& k) { k.quantize_u8(fa.data(), uout.data(), n); }},
-        {"add_sat_u8",
-         [&](const Kernels& k) { k.add_sat_u8(ua.data(), ub.data(), uout.data(), n); }},
-        {"residual_energy_u8",
-         [&](const Kernels& k) {
-             benchmark::DoNotOptimize(k.residual_energy_u8(ua.data(), ub.data(), n));
-         }},
         {"row_sum_f64",
          [&](const Kernels& k) { benchmark::DoNotOptimize(k.row_sum_f64(fa.data(), n)); }},
         {"vblur_update",
          [&](const Kernels& k) { k.vblur_update(dacc.data(), fa.data(), fb.data(), n); }},
         {"box_blur_h", [&](const Kernels& k) {
              k.box_blur_h(blur_in.data(), blur_out.data(), blur_lanes, blur_width, 1, 3);
-         }},
-        {"bilinear_row", [&](const Kernels& k) {
-             k.bilinear_row(blur_src[0].data(), blur_src[1].data(), idx0.data(), idx1.data(),
-                            tx.data(), 0.375f, fout.data(), n);
          }},
     };
 

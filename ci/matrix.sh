@@ -17,6 +17,9 @@
 #   tsan          -DINFRAME_SANITIZE=thread,    unit+pipeline+simd labels
 #   asan          -DINFRAME_SANITIZE=address,   unit+pipeline+simd labels
 #   ubsan         -DINFRAME_SANITIZE=undefined, unit+pipeline+simd labels
+#   perfbench     python3 perfbench/selftest.py: builds src/ as a public-API
+#                 client the way the benchmark does (perfbench/run.py, into
+#                 .bench_build/) and checks every workload's result schema
 #
 # Every sanitizer leg also re-runs the simd label under INFRAME_SIMD=scalar:
 # the scalar reference kernels are exactly what the differential harness
@@ -27,7 +30,7 @@ cd "$(dirname "$0")/.."
 
 legs=("$@")
 if [ ${#legs[@]} -eq 0 ]; then
-    legs=(release tsan asan ubsan)
+    legs=(release tsan asan ubsan perfbench)
 fi
 
 jobs="$(nproc 2>/dev/null || echo 2)"
@@ -60,8 +63,12 @@ for leg in "${legs[@]}"; do
     tsan) run_leg tsan thread ;;
     asan) run_leg asan address ;;
     ubsan) run_leg ubsan undefined ;;
+    perfbench)
+        echo "=== leg: perfbench ==="
+        python3 perfbench/selftest.py
+        ;;
     *)
-        echo "unknown leg '${leg}' (expected: release tsan asan ubsan)" >&2
+        echo "unknown leg '${leg}' (expected: release tsan asan ubsan perfbench)" >&2
         exit 2
         ;;
     esac

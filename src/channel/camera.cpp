@@ -1,16 +1,172 @@
 #include "channel/camera.hpp"
 
-#include "imgproc/filter.hpp"
 #include "imgproc/image_ops.hpp"
 #include "imgproc/pool.hpp"
-#include "imgproc/resize.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 
 namespace inframe::channel {
+
+namespace {
+
+using Taps = Camera_optics::Taps;
+
+// Rows per parallel chunk; fixed so partitioning is thread-count-invariant.
+constexpr std::int64_t row_grain = 16;
+
+std::size_t tap_count(const Taps& taps, std::size_t row)
+{
+    return taps.begin[row + 1] - taps.begin[row];
+}
+
+std::size_t row_count(const Taps& taps)
+{
+    return taps.begin.size() - 1;
+}
+
+void push_row(Taps& taps, int first, std::span<const double> weights)
+{
+    taps.first.push_back(first);
+    taps.weights.insert(taps.weights.end(), weights.begin(), weights.end());
+    taps.begin.push_back(taps.weights.size());
+}
+
+// Photosite area integration: sensor pixel i averages the screen interval
+// [i, i + 1) * n_in / n_out, each screen pixel weighted by its overlap.
+Taps area_taps(int n_in, int n_out)
+{
+    Taps taps;
+    taps.first.reserve(static_cast<std::size_t>(n_out));
+    taps.begin.reserve(static_cast<std::size_t>(n_out) + 1);
+    const double scale = static_cast<double>(n_in) / n_out;
+    std::vector<double> row;
+    for (int i = 0; i < n_out; ++i) {
+        const double lo = i * scale;
+        const double hi = (i + 1) * scale;
+        const int first = static_cast<int>(std::floor(lo));
+        const int end = std::min(static_cast<int>(std::ceil(hi)), n_in);
+        row.clear();
+        double area = 0.0;
+        for (int j = first; j < end; ++j) {
+            row.push_back(std::min<double>(hi, j + 1) - std::max<double>(lo, j));
+            area += row.back();
+        }
+        for (double& w : row) w /= area;
+        push_row(taps, first, row);
+    }
+    return taps;
+}
+
+// Lens blur: a normalized Gaussian truncated at max(1, ceil(3 sigma));
+// sigma 0 is the identity.
+std::vector<double> blur_kernel(double sigma)
+{
+    if (sigma == 0.0) return {1.0};
+    const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
+    std::vector<double> kernel;
+    double sum = 0.0;
+    for (int k = -radius; k <= radius; ++k) {
+        kernel.push_back(std::exp(-static_cast<double>(k) * k / (2.0 * sigma * sigma)));
+        sum += kernel.back();
+    }
+    for (double& v : kernel) v /= sum;
+    return kernel;
+}
+
+// The optics along one axis: area resample from n_in to n_out pixels, then
+// a shift by `offset` pixels (linear interpolation at i - offset), then the
+// lens blur, each step clamp-to-edge. Output i first folds its blur and
+// shift taps into weights over the resampled pixels m, then adds up the
+// precomputed area rows of those m.
+Taps axis_taps(int n_in, int n_out, double offset, double sigma)
+{
+    const Taps area = area_taps(n_in, n_out);
+    const std::vector<double> kernel = blur_kernel(sigma);
+    const int radius = static_cast<int>(kernel.size() / 2);
+    Taps taps;
+    taps.first.reserve(static_cast<std::size_t>(n_out));
+    taps.begin.reserve(static_cast<std::size_t>(n_out) + 1);
+    taps.weights.reserve(static_cast<std::size_t>(n_out) * (kernel.size() + 1)
+                         * (area.weights.size() / static_cast<std::size_t>(n_out) + 1));
+    std::vector<double> resampled(static_cast<std::size_t>(n_out), 0.0);
+    std::vector<double> row(static_cast<std::size_t>(n_in), 0.0);
+    for (int i = 0; i < n_out; ++i) {
+        int m_lo = n_out;
+        int m_hi = 0;
+        for (int k = -radius; k <= radius; ++k) {
+            const double g = kernel[static_cast<std::size_t>(k + radius)];
+            const int j = std::clamp(i + k, 0, n_out - 1);
+            const double p = std::clamp(j - offset, 0.0, n_out - 1.0);
+            const int m = static_cast<int>(p);
+            const double t = p - m;
+            resampled[static_cast<std::size_t>(m)] += g * (1.0 - t);
+            m_lo = std::min(m_lo, m);
+            m_hi = std::max(m_hi, m + 1);
+            if (t > 0.0) {
+                resampled[static_cast<std::size_t>(m) + 1] += g * t;
+                m_hi = std::max(m_hi, m + 2);
+            }
+        }
+        int lo = n_in;
+        int hi = 0;
+        for (auto m = static_cast<std::size_t>(m_lo); m < static_cast<std::size_t>(m_hi); ++m) {
+            const auto first = static_cast<std::size_t>(area.first[m]);
+            for (std::size_t k = 0; k < tap_count(area, m); ++k) {
+                row[first + k] += resampled[m] * area.weights[area.begin[m] + k];
+            }
+            resampled[m] = 0.0;
+            lo = std::min(lo, area.first[m]);
+            hi = std::max(hi, area.first[m] + static_cast<int>(tap_count(area, m)));
+        }
+        push_row(taps, lo, std::span<const double>(row).subspan(lo, hi - lo));
+        std::fill(row.begin() + lo, row.begin() + hi, 0.0);
+    }
+    return taps;
+}
+
+// Applies taps_y down the columns and taps_x along the rows. Each output
+// row first accumulates its vertical taps over whole input rows, then runs
+// the horizontal taps along that accumulated row; every sum runs in
+// double, in tap order, so the result does not depend on the thread count.
+img::Imagef apply_taps(const img::Imagef& src, const Taps& taps_x, const Taps& taps_y)
+{
+    const int ch = src.channels();
+    img::Imagef sensor = img::Frame_pool::instance().acquire(
+        static_cast<int>(row_count(taps_x)), static_cast<int>(row_count(taps_y)), ch);
+    const auto row_values = static_cast<std::size_t>(src.width()) * ch;
+    util::parallel_for(0, sensor.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
+        std::vector<double> column_sums(row_values);
+        for (std::int64_t y = y0; y < y1; ++y) {
+            const auto r = static_cast<std::size_t>(y);
+            std::fill(column_sums.begin(), column_sums.end(), 0.0);
+            for (std::size_t k = 0; k < tap_count(taps_y, r); ++k) {
+                const double w = taps_y.weights[taps_y.begin[r] + k];
+                const float* in = src.row(taps_y.first[r] + static_cast<int>(k)).data();
+                for (std::size_t i = 0; i < row_values; ++i) column_sums[i] += w * in[i];
+            }
+            float* out = sensor.row(static_cast<int>(y)).data();
+            for (std::size_t x = 0; x < row_count(taps_x); ++x) {
+                const double* w = taps_x.weights.data() + taps_x.begin[x];
+                const double* in =
+                    column_sums.data() + static_cast<std::ptrdiff_t>(taps_x.first[x]) * ch;
+                for (int c = 0; c < ch; ++c) {
+                    double acc = 0.0;
+                    for (std::size_t k = 0; k < tap_count(taps_x, x); ++k) {
+                        acc += w[k] * in[k * ch + c];
+                    }
+                    out[x * ch + c] = static_cast<float>(acc);
+                }
+            }
+        }
+    });
+    return sensor;
+}
+
+} // namespace
 
 Camera_optics::Camera_optics(const Camera_params& params, int screen_width, int screen_height)
     : params_(params), screen_width_(screen_width), screen_height_(screen_height)
@@ -24,42 +180,37 @@ Camera_optics::Camera_optics(const Camera_params& params, int screen_width, int 
                   "rolling-shutter capture must finish within the frame interval");
     util::expects(params.sensor_width > 0 && params.sensor_height > 0,
                   "sensor resolution must be positive");
-    util::expects(params.optical_blur_sigma >= 0.0, "optical blur must be non-negative");
+    util::expects(std::isfinite(params.optical_blur_sigma) && params.optical_blur_sigma >= 0.0,
+                  "optical blur must be finite and non-negative");
+    util::expects(std::isfinite(params.offset_x_px) && std::isfinite(params.offset_y_px),
+                  "sensor offset must be finite");
     util::expects(params.shot_noise_scale >= 0.0, "shot noise scale must be non-negative");
     util::expects(params.read_noise_sigma >= 0.0, "read noise must be non-negative");
     util::expects(params.gain > 0.0, "camera gain must be positive");
     util::expects(screen_width > 0 && screen_height > 0, "screen size must be positive");
+
+    // The perspective path warps onto the sensor grid first, so its taps
+    // keep only the blur (area and shift on a same-size grid are the
+    // identity).
+    const bool warp = params.sensor_to_screen.has_value();
+    taps_x_ = axis_taps(warp ? params.sensor_width : screen_width, params.sensor_width,
+                        warp ? 0.0 : params.offset_x_px, params.optical_blur_sigma);
+    taps_y_ = axis_taps(warp ? params.sensor_height : screen_height, params.sensor_height,
+                        warp ? 0.0 : params.offset_y_px, params.optical_blur_sigma);
 }
 
 img::Imagef Camera_optics::to_sensor(const img::Imagef& emitted) const
 {
     util::expects(emitted.width() == screen_width_ && emitted.height() == screen_height_,
                   "emitted frame does not match the configured screen size");
-    img::Imagef sensor;
-    if (params_.sensor_to_screen) {
-        // Perspective path: each sensor pixel samples the screen through
-        // the viewing homography (bilinear; the optical blur below stands
-        // in for photosite integration).
-        sensor = img::warp_perspective(emitted, *params_.sensor_to_screen,
-                                       params_.sensor_width, params_.sensor_height);
-    } else {
-        // Photosite area integration: each sensor pixel averages the
-        // screen area it covers.
-        sensor = img::resize_area(emitted, params_.sensor_width, params_.sensor_height);
-        // Sub-pixel misalignment of the projected image.
-        if (params_.offset_x_px != 0.0 || params_.offset_y_px != 0.0) {
-            img::Imagef shifted = img::translate(sensor, static_cast<float>(params_.offset_x_px),
-                                                 static_cast<float>(params_.offset_y_px));
-            img::Frame_pool::instance().recycle(std::move(sensor));
-            sensor = std::move(shifted);
-        }
-    }
-    // Lens blur.
-    if (params_.optical_blur_sigma > 0.0) {
-        img::Imagef blurred = img::gaussian_blur(sensor, params_.optical_blur_sigma);
-        img::Frame_pool::instance().recycle(std::move(sensor));
-        sensor = std::move(blurred);
-    }
+    if (!params_.sensor_to_screen) return apply_taps(emitted, taps_x_, taps_y_);
+    // Perspective path: each sensor pixel samples the screen through the
+    // viewing homography (bilinear; the optical blur stands in for
+    // photosite integration).
+    img::Imagef warped = img::warp_perspective(emitted, *params_.sensor_to_screen,
+                                               params_.sensor_width, params_.sensor_height);
+    img::Imagef sensor = apply_taps(warped, taps_x_, taps_y_);
+    img::Frame_pool::instance().recycle(std::move(warped));
     return sensor;
 }
 

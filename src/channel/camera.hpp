@@ -4,9 +4,9 @@
 // 30 FPS from 50 cm. Split in two stages:
 //
 //  - Camera_optics: time-invariant geometry and optics. Maps an emitted
-//    screen light field to sensor-plane irradiance: sub-pixel
-//    misalignment, photosite area integration (screen -> sensor resample)
-//    and lens blur.
+//    screen light field to sensor-plane irradiance: photosite area
+//    integration (screen -> sensor resample), sub-pixel misalignment and
+//    lens blur, composed into one separable linear operator.
 //  - Exposure/readout (driven by Screen_camera_link): each sensor ROW
 //    integrates the light field over its own exposure window — the rolling
 //    shutter the paper names as a key channel impairment — then shot
@@ -17,8 +17,10 @@
 #include "imgproc/warp.hpp"
 #include "util/prng.hpp"
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 namespace inframe::channel {
 
@@ -87,10 +89,24 @@ public:
     // Projects one emitted screen frame onto the sensor plane.
     img::Imagef to_sensor(const img::Imagef& emitted) const;
 
+    // One axis of the optics operator as a banded matrix in compressed-row
+    // form: output i = sum over k < begin[i + 1] - begin[i] of
+    // weights[begin[i] + k] * input[first[i] + k]. Borders are folded in
+    // (clamp-to-edge), so every index stays inside the input.
+    struct Taps {
+        std::vector<int> first;
+        std::vector<std::size_t> begin{0};
+        std::vector<double> weights;
+    };
+
 private:
     Camera_params params_;
     int screen_width_;
     int screen_height_;
+    // Built once from params_: area resample, then sub-pixel shift, then
+    // lens blur along each axis; the perspective path keeps the blur only.
+    Taps taps_x_;
+    Taps taps_y_;
 };
 
 // Applies the sensor electronics to an integrated irradiance image:

@@ -5,7 +5,6 @@
 #include "util/thread_pool.hpp"
 
 #include <array>
-#include <cmath>
 #include <vector>
 
 namespace inframe::img {
@@ -107,89 +106,6 @@ Imagef box_blur(const Imagef& src, int radius_x, int radius_y)
 Imagef box_blur(const Imagef& src, int radius)
 {
     return box_blur(src, radius, radius);
-}
-
-std::vector<float> gaussian_kernel(double sigma)
-{
-    util::expects(sigma > 0.0, "gaussian_kernel sigma must be positive");
-    const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
-    std::vector<float> kernel(static_cast<std::size_t>(2 * radius + 1));
-    double sum = 0.0;
-    for (int i = -radius; i <= radius; ++i) {
-        const double v = std::exp(-(static_cast<double>(i) * i) / (2.0 * sigma * sigma));
-        kernel[static_cast<std::size_t>(i + radius)] = static_cast<float>(v);
-        sum += v;
-    }
-    for (auto& k : kernel) k = static_cast<float>(k / sum);
-    return kernel;
-}
-
-Imagef separable_convolve(const Imagef& src, std::span<const float> kernel)
-{
-    util::expects(kernel.size() % 2 == 1, "separable_convolve kernel size must be odd");
-    const int radius = static_cast<int>(kernel.size() / 2);
-    const int ch = src.channels();
-
-    Imagef horizontal = Frame_pool::instance().acquire(src.width(), src.height(), ch);
-    util::parallel_for(0, src.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-            const int y = static_cast<int>(yy);
-            for (int x = 0; x < src.width(); ++x) {
-                for (int c = 0; c < ch; ++c) {
-                    double acc = 0.0;
-                    for (int k = -radius; k <= radius; ++k) {
-                        acc += kernel[static_cast<std::size_t>(k + radius)]
-                               * src.at_clamped(x + k, y, c);
-                    }
-                    horizontal(x, y, c) = static_cast<float>(acc);
-                }
-            }
-        }
-    });
-
-    Imagef out = Frame_pool::instance().acquire(src.width(), src.height(), ch);
-    util::parallel_for(0, src.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-            const int y = static_cast<int>(yy);
-            for (int x = 0; x < src.width(); ++x) {
-                for (int c = 0; c < ch; ++c) {
-                    double acc = 0.0;
-                    for (int k = -radius; k <= radius; ++k) {
-                        acc += kernel[static_cast<std::size_t>(k + radius)]
-                               * horizontal.at_clamped(x, y + k, c);
-                    }
-                    out(x, y, c) = static_cast<float>(acc);
-                }
-            }
-        }
-    });
-    Frame_pool::instance().recycle(std::move(horizontal));
-    return out;
-}
-
-Imagef gaussian_blur(const Imagef& src, double sigma)
-{
-    if (sigma <= 0.0) return src;
-    return separable_convolve(src, gaussian_kernel(sigma));
-}
-
-Imagef laplacian_abs(const Imagef& src)
-{
-    Imagef out = Frame_pool::instance().acquire(src.width(), src.height(), src.channels());
-    util::parallel_for(0, src.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
-        for (std::int64_t yy = y0; yy < y1; ++yy) {
-            const int y = static_cast<int>(yy);
-            for (int x = 0; x < src.width(); ++x) {
-                for (int c = 0; c < src.channels(); ++c) {
-                    const float v = 4.0f * src(x, y, c) - src.at_clamped(x - 1, y, c)
-                                    - src.at_clamped(x + 1, y, c) - src.at_clamped(x, y - 1, c)
-                                    - src.at_clamped(x, y + 1, c);
-                    out(x, y, c) = std::fabs(v);
-                }
-            }
-        }
-    });
-    return out;
 }
 
 } // namespace inframe::img

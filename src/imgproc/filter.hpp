@@ -1,11 +1,8 @@
 // Spatial filtering. The decoder's core operation is "smooth the block,
 // subtract, sum |difference|" (paper 3.3); box_blur is that smoother.
-// Gaussian blur models camera optics in the channel simulator.
 #pragma once
 
 #include "imgproc/image.hpp"
-
-#include <vector>
 
 namespace inframe::img {
 
@@ -15,19 +12,5 @@ Imagef box_blur(const Imagef& src, int radius);
 
 // Box blur with independent horizontal/vertical radii.
 Imagef box_blur(const Imagef& src, int radius_x, int radius_y);
-
-// Separable Gaussian blur; sigma <= 0 is a copy. Kernel truncated at
-// ceil(3*sigma).
-Imagef gaussian_blur(const Imagef& src, double sigma);
-
-// Samples of a normalized 1-D Gaussian kernel for the given sigma.
-std::vector<float> gaussian_kernel(double sigma);
-
-// 1-D horizontal then vertical convolution with the same kernel
-// (clamp-to-edge). Kernel size must be odd.
-Imagef separable_convolve(const Imagef& src, std::span<const float> kernel);
-
-// 3x3 Laplacian magnitude (used by texture/noise diagnostics).
-Imagef laplacian_abs(const Imagef& src);
 
 } // namespace inframe::img

@@ -1,7 +1,7 @@
 // Image container used across the whole system.
 //
 // There is no OpenCV in this reproduction; every raster operation the
-// pipeline needs (blur, resize, warp, metrics, I/O) is built on this class.
+// pipeline needs (blur, warp, metrics, I/O) is built on this class.
 //
 // Conventions:
 //  - row-major storage, channels interleaved (x fastest, then channel)

@@ -83,24 +83,6 @@ Imagef binary_elementwise(const Imagef& a, const Imagef& b, const char* what,
     return out;
 }
 
-// Same shape-checked pattern for the uint8 saturating trio.
-Image8 binary_elementwise_u8(const Image8& a, const Image8& b, const char* what,
-                             void (*kernel)(const std::uint8_t*, const std::uint8_t*,
-                                            std::uint8_t*, int))
-{
-    util::expects(a.same_shape(b), what);
-    Image8 out(a.width(), a.height(), a.channels());
-    auto dst = out.values();
-    const auto lhs = a.values();
-    const auto rhs = b.values();
-    util::parallel_for(0, static_cast<std::int64_t>(dst.size()), value_grain,
-                       [&](std::int64_t i0, std::int64_t i1) {
-                           kernel(lhs.data() + i0, rhs.data() + i0, dst.data() + i0,
-                                  static_cast<int>(i1 - i0));
-                       });
-    return out;
-}
-
 } // namespace
 
 Imagef add(const Imagef& a, const Imagef& b)
@@ -116,24 +98,6 @@ Imagef subtract(const Imagef& a, const Imagef& b)
 Imagef abs_diff(const Imagef& a, const Imagef& b)
 {
     return binary_elementwise(a, b, "abs_diff: shape mismatch", simd::kernels().absdiff_f32);
-}
-
-Image8 add_saturate(const Image8& a, const Image8& b)
-{
-    return binary_elementwise_u8(a, b, "add_saturate: shape mismatch",
-                                 simd::kernels().add_sat_u8);
-}
-
-Image8 subtract_saturate(const Image8& a, const Image8& b)
-{
-    return binary_elementwise_u8(a, b, "subtract_saturate: shape mismatch",
-                                 simd::kernels().sub_sat_u8);
-}
-
-Image8 abs_diff(const Image8& a, const Image8& b)
-{
-    return binary_elementwise_u8(a, b, "abs_diff: shape mismatch",
-                                 simd::kernels().absdiff_u8);
 }
 
 Imagef affine(const Imagef& a, float scale, float offset)

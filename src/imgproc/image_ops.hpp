@@ -16,13 +16,6 @@ Imagef subtract(const Imagef& a, const Imagef& b);
 // out = |a - b| (shapes must match).
 Imagef abs_diff(const Imagef& a, const Imagef& b);
 
-// Saturating uint8 arithmetic (shapes must match): results clamp to
-// [0, 255] instead of wrapping. Useful on quantized display frames where
-// round-tripping through float would be wasteful.
-Image8 add_saturate(const Image8& a, const Image8& b);
-Image8 subtract_saturate(const Image8& a, const Image8& b);
-Image8 abs_diff(const Image8& a, const Image8& b);
-
 // out = a * scale + offset.
 Imagef affine(const Imagef& a, float scale, float offset);
 

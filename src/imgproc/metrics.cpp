@@ -1,39 +1,11 @@
 #include "imgproc/metrics.hpp"
 
 #include "imgproc/image_ops.hpp"
-#include "simd/simd.hpp"
 
 #include <cmath>
 #include <limits>
 
 namespace inframe::img {
-
-std::int64_t residual_energy(const Image8& a, const Image8& b)
-{
-    util::expects(a.same_shape(b), "residual_energy: shape mismatch");
-    const auto va = a.values();
-    const auto vb = b.values();
-    return static_cast<std::int64_t>(
-        simd::kernels().residual_energy_u8(va.data(), vb.data(),
-                                           static_cast<int>(va.size())));
-}
-
-std::int64_t residual_energy_region(const Image8& a, const Image8& b, int x0, int y0, int w,
-                                    int h)
-{
-    util::expects(a.same_shape(b), "residual_energy_region: shape mismatch");
-    util::expects(w > 0 && h > 0, "residual_energy_region: empty region");
-    util::expects(x0 >= 0 && y0 >= 0 && x0 + w <= a.width() && y0 + h <= a.height(),
-                  "residual_energy_region: region out of bounds");
-    const int ch = a.channels();
-    const auto& k = simd::kernels();
-    std::uint64_t sum = 0;
-    for (int y = y0; y < y0 + h; ++y) {
-        const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(x0) * ch;
-        sum += k.residual_energy_u8(a.row(y).data() + off, b.row(y).data() + off, w * ch);
-    }
-    return static_cast<std::int64_t>(sum);
-}
 
 double mae(const Imagef& a, const Imagef& b)
 {

@@ -6,19 +6,7 @@
 
 #include "imgproc/image.hpp"
 
-#include <cstdint>
-
 namespace inframe::img {
-
-// Sum of squared differences between same-shaped uint8 images, in an
-// int64 accumulator: the worst case (every pixel differs by 255) reaches
-// count * 255^2, which overflows 32 bits from ~66k pixels up — a 256x256
-// frame already needs 4,261,478,400.
-std::int64_t residual_energy(const Image8& a, const Image8& b);
-
-// Same, over the region [x0, x0+w) x [y0, y0+h) of channel-interleaved rows.
-std::int64_t residual_energy_region(const Image8& a, const Image8& b, int x0, int y0, int w,
-                                    int h);
 
 // Mean absolute error between same-shaped images.
 double mae(const Imagef& a, const Imagef& b);

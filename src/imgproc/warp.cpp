@@ -1,10 +1,10 @@
 #include "imgproc/warp.hpp"
 
 #include "imgproc/pool.hpp"
-#include "imgproc/resize.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace inframe::img {
@@ -98,6 +98,21 @@ Homography Homography::inverse() const
     util::expects(std::fabs(det) > 1e-12, "homography: singular matrix");
     for (auto& v : adj) v /= det;
     return Homography(adj);
+}
+
+float sample_bilinear(const Imagef& src, float x, float y, int c)
+{
+    const float fx = std::clamp(x, 0.0f, static_cast<float>(src.width() - 1));
+    const float fy = std::clamp(y, 0.0f, static_cast<float>(src.height() - 1));
+    const int x0 = static_cast<int>(fx);
+    const int y0 = static_cast<int>(fy);
+    const int x1 = std::min(x0 + 1, src.width() - 1);
+    const int y1 = std::min(y0 + 1, src.height() - 1);
+    const float tx = fx - static_cast<float>(x0);
+    const float ty = fy - static_cast<float>(y0);
+    const float top = src(x0, y0, c) * (1.0f - tx) + src(x1, y0, c) * tx;
+    const float bottom = src(x0, y1, c) * (1.0f - tx) + src(x1, y1, c) * tx;
+    return top * (1.0f - ty) + bottom * ty;
 }
 
 Imagef warp_perspective(const Imagef& src, const Homography& dst_to_src, int out_w, int out_h)

@@ -50,6 +50,9 @@ private:
     std::array<double, 9> m_;
 };
 
+// Bilinear sample at a real-valued position (clamp-to-edge).
+float sample_bilinear(const Imagef& src, float x, float y, int c = 0);
+
 // Warps src into an out_w x out_h image: each destination pixel samples
 // src at dst_to_src(x, y) with bilinear interpolation; samples falling
 // outside src use clamp-to-edge.

@@ -25,7 +25,6 @@
 #include "coding/chessboard.hpp"
 #include "coding/parity.hpp"
 #include "coding/reed_solomon.hpp"
-#include "coding/interleaver.hpp"
 #include "coding/framing.hpp"
 #include "hvs/observer.hpp"
 #include "hvs/temporal_model.hpp"
@@ -38,7 +37,6 @@
 #include "imgproc/image.hpp"
 #include "imgproc/image_ops.hpp"
 #include "imgproc/filter.hpp"
-#include "imgproc/resize.hpp"
 #include "imgproc/draw.hpp"
 #include "imgproc/io.hpp"
 #include "imgproc/metrics.hpp"

@@ -1,7 +1,7 @@
 // AVX2 kernels. Built on top of the SSE2 table: kernels re-implemented
-// here go 8 (float) / 32 (uint8) wide; everything else inherits the SSE2
-// version. Bit-identity arguments mirror kernels_sse2.cpp — wider vectors
-// change nothing about per-lane arithmetic, and row_sum_f64 keeps the same
+// here go 8 floats wide; everything else inherits the SSE2 version.
+// Bit-identity arguments mirror kernels_sse2.cpp — wider vectors change
+// nothing about per-lane arithmetic, and row_sum_f64 keeps the same
 // fixed 8-lane accumulation shape (two 4-wide double accumulators).
 //
 // This file is compiled with -mavx2 (see src/simd/CMakeLists.txt) and its
@@ -111,68 +111,6 @@ void widen_u8(const std::uint8_t* in, float* out, int n)
     for (; i < n; ++i) out[i] = static_cast<float>(in[i]);
 }
 
-void add_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm256_adds_epu8(va, vb));
-    }
-    if (i < n) scalar::add_sat_u8(a + i, b + i, out + i, n - i);
-}
-
-void sub_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), _mm256_subs_epu8(va, vb));
-    }
-    if (i < n) scalar::sub_sat_u8(a + i, b + i, out + i, n - i);
-}
-
-void absdiff_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(out + i),
-            _mm256_or_si256(_mm256_subs_epu8(va, vb), _mm256_subs_epu8(vb, va)));
-    }
-    if (i < n) scalar::absdiff_u8(a + i, b + i, out + i, n - i);
-}
-
-std::uint64_t residual_energy_u8(const std::uint8_t* a, const std::uint8_t* b, int n)
-{
-    const __m256i zero = _mm256_setzero_si256();
-    __m256i acc64 = zero;
-    int i = 0;
-    while (i + 32 <= n) {
-        const int block_end = std::min(n, i + 4096 * 32);
-        __m256i acc32 = zero;
-        for (; i + 32 <= block_end; i += 32) {
-            const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-            const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-            const __m256i d =
-                _mm256_or_si256(_mm256_subs_epu8(va, vb), _mm256_subs_epu8(vb, va));
-            const __m256i dlo = _mm256_unpacklo_epi8(d, zero);
-            const __m256i dhi = _mm256_unpackhi_epi8(d, zero);
-            acc32 = _mm256_add_epi32(acc32, _mm256_madd_epi16(dlo, dlo));
-            acc32 = _mm256_add_epi32(acc32, _mm256_madd_epi16(dhi, dhi));
-        }
-        acc64 = _mm256_add_epi64(acc64, _mm256_unpacklo_epi32(acc32, zero));
-        acc64 = _mm256_add_epi64(acc64, _mm256_unpackhi_epi32(acc32, zero));
-    }
-    alignas(32) std::uint64_t parts[4];
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(parts), acc64);
-    std::uint64_t sum = parts[0] + parts[1] + parts[2] + parts[3];
-    return sum + (i < n ? scalar::residual_energy_u8(a + i, b + i, n - i) : 0);
-}
-
 double row_sum_f64(const float* p, int n)
 {
     // Lanes 0..3 in acc0, lanes 4..7 in acc1 — the reference 8-lane shape.
@@ -262,37 +200,6 @@ void box_blur_h(const float* const* src, float* const* dst, int lanes, int width
         // Remaining 1..7 streams: every level produces identical streams,
         // so delegating the tail to the reference is safe.
         scalar::box_blur_h(src + lane, dst + lane, lanes - lane, width, stride, radius);
-    }
-}
-
-void bilinear_row(const float* row0, const float* row1, const std::int32_t* idx0,
-                  const std::int32_t* idx1, const float* tx, float ty, float* out, int n)
-{
-    const __m256 one = _mm256_set1_ps(1.0f);
-    const __m256 vty = _mm256_set1_ps(ty);
-    const __m256 vomty = _mm256_sub_ps(one, vty);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i vidx0 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx0 + i));
-        const __m256i vidx1 =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx1 + i));
-        const __m256 t = _mm256_loadu_ps(tx + i);
-        const __m256 omt = _mm256_sub_ps(one, t);
-        const __m256 r00 = _mm256_i32gather_ps(row0, vidx0, 4);
-        const __m256 r01 = _mm256_i32gather_ps(row0, vidx1, 4);
-        const __m256 r10 = _mm256_i32gather_ps(row1, vidx0, 4);
-        const __m256 r11 = _mm256_i32gather_ps(row1, vidx1, 4);
-        const __m256 top = _mm256_add_ps(_mm256_mul_ps(r00, omt), _mm256_mul_ps(r01, t));
-        const __m256 bottom = _mm256_add_ps(_mm256_mul_ps(r10, omt), _mm256_mul_ps(r11, t));
-        _mm256_storeu_ps(out + i,
-                         _mm256_add_ps(_mm256_mul_ps(top, vomty), _mm256_mul_ps(bottom, vty)));
-    }
-    for (; i < n; ++i) {
-        const float t = tx[i];
-        const float top = row0[idx0[i]] * (1.0f - t) + row0[idx1[i]] * t;
-        const float bottom = row1[idx0[i]] * (1.0f - t) + row1[idx1[i]] * t;
-        out[i] = top * (1.0f - ty) + bottom * ty;
     }
 }
 

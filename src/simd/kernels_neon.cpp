@@ -1,7 +1,6 @@
-// NEON kernels (aarch64). Built on top of the scalar table; the two
-// structurally complex kernels (box_blur_h, bilinear_row) inherit the
-// scalar version — NEON still covers every elementwise and reduction
-// kernel. Bit-identity arguments mirror kernels_sse2.cpp; quantize_u8
+// NEON kernels (aarch64). Built on top of the scalar table; the
+// structurally complex box_blur_h inherits the scalar version — NEON still
+// covers every elementwise and reduction kernel. Bit-identity arguments mirror kernels_sse2.cpp; quantize_u8
 // uses FCVTAS (vcvtaq_s32_f32, round-ties-away), which matches lround
 // directly for in-range values.
 
@@ -100,45 +99,6 @@ void widen_u8(const std::uint8_t* in, float* out, int n)
     for (; i < n; ++i) out[i] = static_cast<float>(in[i]);
 }
 
-void add_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) vst1q_u8(out + i, vqaddq_u8(vld1q_u8(a + i), vld1q_u8(b + i)));
-    if (i < n) scalar::add_sat_u8(a + i, b + i, out + i, n - i);
-}
-
-void sub_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) vst1q_u8(out + i, vqsubq_u8(vld1q_u8(a + i), vld1q_u8(b + i)));
-    if (i < n) scalar::sub_sat_u8(a + i, b + i, out + i, n - i);
-}
-
-void absdiff_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) vst1q_u8(out + i, vabdq_u8(vld1q_u8(a + i), vld1q_u8(b + i)));
-    if (i < n) scalar::absdiff_u8(a + i, b + i, out + i, n - i);
-}
-
-std::uint64_t residual_energy_u8(const std::uint8_t* a, const std::uint8_t* b, int n)
-{
-    uint64x2_t acc = vdupq_n_u64(0);
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const uint8x16_t d = vabdq_u8(vld1q_u8(a + i), vld1q_u8(b + i));
-        const uint16x8_t dlo = vmovl_u8(vget_low_u8(d));
-        const uint16x8_t dhi = vmovl_u8(vget_high_u8(d));
-        uint32x4_t sq = vmull_u16(vget_low_u16(dlo), vget_low_u16(dlo));
-        sq = vmlal_u16(sq, vget_high_u16(dlo), vget_high_u16(dlo));
-        sq = vmlal_u16(sq, vget_low_u16(dhi), vget_low_u16(dhi));
-        sq = vmlal_u16(sq, vget_high_u16(dhi), vget_high_u16(dhi));
-        acc = vpadalq_u32(acc, sq);
-    }
-    std::uint64_t sum = vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
-    return sum + (i < n ? scalar::residual_energy_u8(a + i, b + i, n - i) : 0);
-}
-
 double row_sum_f64(const float* p, int n)
 {
     // Four float64x2 accumulators hold the reference's 8 lanes in order.
@@ -201,8 +161,8 @@ namespace detail {
 
 Kernels neon_table(Kernels base)
 {
-    // Explicit partial assignment: box_blur_h and bilinear_row stay on the
-    // inherited (scalar) implementation.
+    // Explicit partial assignment: box_blur_h stays on the inherited
+    // (scalar) implementation.
     base.add_f32 = neon::add_f32;
     base.sub_f32 = neon::sub_f32;
     base.absdiff_f32 = neon::absdiff_f32;
@@ -210,10 +170,6 @@ Kernels neon_table(Kernels base)
     base.masked_add_f32 = neon::masked_add_f32;
     base.quantize_u8 = neon::quantize_u8;
     base.widen_u8 = neon::widen_u8;
-    base.add_sat_u8 = neon::add_sat_u8;
-    base.sub_sat_u8 = neon::sub_sat_u8;
-    base.absdiff_u8 = neon::absdiff_u8;
-    base.residual_energy_u8 = neon::residual_energy_u8;
     base.row_sum_f64 = neon::row_sum_f64;
     base.vblur_accum = neon::vblur_accum;
     base.vblur_update = neon::vblur_update;

@@ -56,38 +56,6 @@ void widen_u8(const std::uint8_t* in, float* out, int n)
     for (int i = 0; i < n; ++i) out[i] = static_cast<float>(in[i]);
 }
 
-void add_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        out[i] = static_cast<std::uint8_t>(std::min(int(a[i]) + int(b[i]), 255));
-    }
-}
-
-void sub_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        out[i] = static_cast<std::uint8_t>(std::max(int(a[i]) - int(b[i]), 0));
-    }
-}
-
-void absdiff_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        out[i] = static_cast<std::uint8_t>(d < 0 ? -d : d);
-    }
-}
-
-std::uint64_t residual_energy_u8(const std::uint8_t* a, const std::uint8_t* b, int n)
-{
-    std::uint64_t sum = 0;
-    for (int i = 0; i < n; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        sum += static_cast<std::uint64_t>(d * d);
-    }
-    return sum;
-}
-
 double row_sum_f64(const float* p, int n)
 {
     // Fixed 8-lane accumulation shape (see kernel_list.def): this IS the
@@ -134,17 +102,6 @@ void box_blur_h(const float* const* src, float* const* dst, int lanes, int width
             window += in[static_cast<std::ptrdiff_t>(entering) * stride]
                       - in[static_cast<std::ptrdiff_t>(leaving) * stride];
         }
-    }
-}
-
-void bilinear_row(const float* row0, const float* row1, const std::int32_t* idx0,
-                  const std::int32_t* idx1, const float* tx, float ty, float* out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        const float t = tx[i];
-        const float top = row0[idx0[i]] * (1.0f - t) + row0[idx1[i]] * t;
-        const float bottom = row1[idx0[i]] * (1.0f - t) + row1[idx1[i]] * t;
-        out[i] = top * (1.0f - ty) + bottom * ty;
     }
 }
 

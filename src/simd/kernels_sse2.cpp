@@ -8,13 +8,12 @@
 //  - quantize_u8 clamps in float, widens to double, adds 0.5 and
 //    truncates: floor(v + 0.5) in double is exact for v in [0, 255] and
 //    equals lround's round-half-away for non-negative v;
-//  - integer kernels are exact in any order;
 //  - row_sum_f64 maps vector lanes onto the reference's fixed 8-lane
 //    accumulation shape and merges them in the same order;
 //  - the blur kernels widen with cvtps_pd / narrow with cvtpd_ps, the
 //    same conversions the reference's casts perform;
-//  - box_blur_h and bilinear_row put independent streams/pixels in lanes,
-//    replaying the scalar op sequence per lane.
+//  - box_blur_h puts independent streams in lanes, replaying the scalar
+//    op sequence per lane.
 // Every claim above is enforced by the differential fuzzer in
 // tests/simd/test_kernel_parity.cpp.
 
@@ -139,76 +138,6 @@ void widen_u8(const std::uint8_t* in, float* out, int n)
     for (; i < n; ++i) out[i] = static_cast<float>(in[i]);
 }
 
-void add_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), _mm_adds_epu8(va, vb));
-    }
-    for (; i < n; ++i) out[i] = static_cast<std::uint8_t>(std::min(int(a[i]) + int(b[i]), 255));
-}
-
-void sub_sat_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), _mm_subs_epu8(va, vb));
-    }
-    for (; i < n; ++i) out[i] = static_cast<std::uint8_t>(std::max(int(a[i]) - int(b[i]), 0));
-}
-
-void absdiff_u8(const std::uint8_t* a, const std::uint8_t* b, std::uint8_t* out, int n)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-        const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                         _mm_or_si128(_mm_subs_epu8(va, vb), _mm_subs_epu8(vb, va)));
-    }
-    for (; i < n; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        out[i] = static_cast<std::uint8_t>(d < 0 ? -d : d);
-    }
-}
-
-std::uint64_t residual_energy_u8(const std::uint8_t* a, const std::uint8_t* b, int n)
-{
-    const __m128i zero = _mm_setzero_si128();
-    __m128i acc64 = zero;
-    int i = 0;
-    while (i + 16 <= n) {
-        // Drain the 32-bit accumulator before it can overflow: each step
-        // adds at most 2 * 255^2 = 130050 per madd lane, two madds per
-        // 16 pixels -> 2^31 / 260100 ~ 8256 steps; stay well under.
-        const int block_end = std::min(n, i + 4096 * 16);
-        __m128i acc32 = zero;
-        for (; i + 16 <= block_end; i += 16) {
-            const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-            const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-            const __m128i d = _mm_or_si128(_mm_subs_epu8(va, vb), _mm_subs_epu8(vb, va));
-            const __m128i dlo = _mm_unpacklo_epi8(d, zero);
-            const __m128i dhi = _mm_unpackhi_epi8(d, zero);
-            acc32 = _mm_add_epi32(acc32, _mm_madd_epi16(dlo, dlo));
-            acc32 = _mm_add_epi32(acc32, _mm_madd_epi16(dhi, dhi));
-        }
-        acc64 = _mm_add_epi64(acc64, _mm_unpacklo_epi32(acc32, zero));
-        acc64 = _mm_add_epi64(acc64, _mm_unpackhi_epi32(acc32, zero));
-    }
-    alignas(16) std::uint64_t parts[2];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(parts), acc64);
-    std::uint64_t sum = parts[0] + parts[1];
-    for (; i < n; ++i) {
-        const int d = int(a[i]) - int(b[i]);
-        sum += static_cast<std::uint64_t>(d * d);
-    }
-    return sum;
-}
-
 double row_sum_f64(const float* p, int n)
 {
     __m128d acc[4] = {_mm_setzero_pd(), _mm_setzero_pd(), _mm_setzero_pd(), _mm_setzero_pd()};
@@ -306,34 +235,6 @@ void box_blur_h(const float* const* src, float* const* dst, int lanes, int width
     }
     if (lane < lanes) {
         scalar::box_blur_h(src + lane, dst + lane, lanes - lane, width, stride, radius);
-    }
-}
-
-void bilinear_row(const float* row0, const float* row1, const std::int32_t* idx0,
-                  const std::int32_t* idx1, const float* tx, float ty, float* out, int n)
-{
-    const __m128 one = _mm_set1_ps(1.0f);
-    const __m128 vty = _mm_set1_ps(ty);
-    const __m128 vomty = _mm_sub_ps(one, vty);
-    int i = 0;
-    auto gather = [](const float* row, const std::int32_t* idx) {
-        return _mm_set_ps(row[idx[3]], row[idx[2]], row[idx[1]], row[idx[0]]);
-    };
-    for (; i + 4 <= n; i += 4) {
-        const __m128 t = _mm_loadu_ps(tx + i);
-        const __m128 omt = _mm_sub_ps(one, t);
-        const __m128 top = _mm_add_ps(_mm_mul_ps(gather(row0, idx0 + i), omt),
-                                      _mm_mul_ps(gather(row0, idx1 + i), t));
-        const __m128 bottom = _mm_add_ps(_mm_mul_ps(gather(row1, idx0 + i), omt),
-                                         _mm_mul_ps(gather(row1, idx1 + i), t));
-        _mm_storeu_ps(out + i,
-                      _mm_add_ps(_mm_mul_ps(top, vomty), _mm_mul_ps(bottom, vty)));
-    }
-    for (; i < n; ++i) {
-        const float t = tx[i];
-        const float top = row0[idx0[i]] * (1.0f - t) + row0[idx1[i]] * t;
-        const float bottom = row1[idx0[i]] * (1.0f - t) + row1[idx1[i]] * t;
-        out[i] = top * (1.0f - ty) + bottom * ty;
     }
 }
 

@@ -1,9 +1,8 @@
 // Runtime-dispatched SIMD kernel layer.
 //
-// Every per-pixel hot path in the pipeline (chessboard embed, box blur,
-// per-block residual accumulation, elementwise image ops, bilinear
-// interpolation, uint8 quantization) funnels through the function-pointer
-// table below. A scalar reference implementation is always built; on
+// Every per-pixel hot path in the decoder and encoder (chessboard embed,
+// box blur, per-block residual accumulation, elementwise image ops, uint8
+// quantization) funnels through the function-pointer table below. A scalar reference implementation is always built; on
 // x86-64 the SSE2 and (hardware permitting) AVX2 tables are built too, on
 // aarch64 the NEON table. The active table is chosen once, at first use:
 //

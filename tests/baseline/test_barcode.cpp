@@ -1,6 +1,6 @@
 #include "baseline/barcode.hpp"
 
-#include "imgproc/resize.hpp"
+#include "channel/camera.hpp"
 #include "util/contract.hpp"
 #include "util/prng.hpp"
 
@@ -48,8 +48,14 @@ TEST(Barcode, SurvivesDownscaledNoisyCapture)
     Prng prng(2);
     const auto bits = prng.next_bits(static_cast<std::size_t>(config.geometry.block_count()));
     Imagef frame = render_barcode(config, bits);
-    // Simulate capture: downscale to 2/3 and add noise.
-    Imagef capture = img::resize_area(frame, 320, 180);
+    // Simulate capture: project onto a 2/3-size sensor and add noise.
+    channel::Camera_params camera;
+    camera.sensor_width = 320;
+    camera.sensor_height = 180;
+    camera.optical_blur_sigma = 0.0;
+    camera.offset_x_px = 0.0;
+    camera.offset_y_px = 0.0;
+    Imagef capture = channel::Camera_optics(camera, 480, 270).to_sensor(frame);
     Prng noise(3);
     for (auto& v : capture.values()) v += static_cast<float>(noise.next_gaussian(0.0, 4.0));
     const auto decoded = decode_barcode(config, capture);

@@ -9,10 +9,10 @@
 // tolerance — at 2, 4 and 7 threads.
 #include "core/link_runner.hpp"
 
+#include "channel/camera.hpp"
 #include "channel/link.hpp"
 #include "imgproc/filter.hpp"
 #include "imgproc/image_ops.hpp"
-#include "imgproc/resize.hpp"
 #include "imgproc/warp.hpp"
 #include "simd/simd.hpp"
 #include "util/thread_pool.hpp"
@@ -131,13 +131,21 @@ TEST(ParallelDeterminism, ImgprocKernelsAreBitIdentical)
     }
     const img::Homography h = img::Homography::rect_to_quad(
         480.0, 270.0, {4.0, 6.0, 470.0, 2.0, 476.0, 260.0, 8.0, 266.0});
+    channel::Camera_params camera;
+    camera.sensor_width = 213;
+    camera.sensor_height = 131;
+    camera.optical_blur_sigma = 1.7;
+    const channel::Camera_optics optics(camera, 480, 270);
+    camera.sensor_width = 480;
+    camera.sensor_height = 270;
+    camera.sensor_to_screen = h;
+    const channel::Camera_optics perspective(camera, 480, 270);
     auto run = [&](int threads) {
         const Parallel_scope scope(threads);
         std::vector<img::Imagef> out;
         out.push_back(img::box_blur(src, 3));
-        out.push_back(img::gaussian_blur(src, 1.7));
-        out.push_back(img::resize_area(src, 213, 131));
-        out.push_back(img::resize_bilinear(src, 601, 333));
+        out.push_back(optics.to_sensor(src));
+        out.push_back(perspective.to_sensor(src));
         out.push_back(img::warp_perspective(src, h, 480, 270));
         out.push_back(img::abs_diff(src, img::box_blur(src, 2)));
         return out;

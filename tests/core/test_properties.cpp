@@ -6,7 +6,6 @@
 // parameter combination, complementary pairs must always cancel, and the
 // accounting identities of the GOB layer must hold for arbitrary inputs.
 
-#include "coding/interleaver.hpp"
 #include "coding/parity.hpp"
 #include "core/decoder.hpp"
 #include "core/encoder.hpp"
@@ -227,12 +226,12 @@ INSTANTIATE_TEST_SUITE_P(LostGobCounts, ErasureRecovery,
 
 // ---------------------------------------------------------------------
 // Invariant 6: randomized round trips over 500 seeded configurations.
-// interleave -> GOB parity encode -> decode -> deinterleave is the
-// identity on clean channels, and stays the identity under one erased
-// block per GOB (the parity layer's exact correction bound).
+// GOB parity encode -> decode is the identity on clean channels, and
+// stays the identity under one erased block per GOB (the parity layer's
+// exact correction bound).
 // ---------------------------------------------------------------------
 
-TEST(RandomizedRoundtrip, InterleaverParityIdentityOverFiveHundredSeeds)
+TEST(RandomizedRoundtrip, GobParityIdentityOverFiveHundredSeeds)
 {
     for (std::uint64_t seed = 1; seed <= 500; ++seed) {
         Prng prng(seed * 0x9e37'79b9'7f4a'7c15ULL);
@@ -252,11 +251,7 @@ TEST(RandomizedRoundtrip, InterleaverParityIdentityOverFiveHundredSeeds)
 
         const auto payload = prng.next_bits(
             static_cast<std::size_t>(geometry.payload_bits_per_frame()));
-        const inframe::coding::Interleaver interleaver(geometry.payload_bits_per_gob(),
-                                                       geometry.gob_count());
-        const auto interleaved = interleaver.interleave(payload);
-        const auto block_bits =
-            inframe::coding::encode_gob_parity(geometry, interleaved);
+        const auto block_bits = inframe::coding::encode_gob_parity(geometry, payload);
 
         std::vector<Block_decision> decisions(block_bits.size());
         for (std::size_t b = 0; b < block_bits.size(); ++b) {
@@ -268,7 +263,7 @@ TEST(RandomizedRoundtrip, InterleaverParityIdentityOverFiveHundredSeeds)
             const auto decoded = inframe::coding::decode_gob_parity(geometry, decisions, 0,
                                                                     erasure_fill);
             ASSERT_DOUBLE_EQ(decoded.available_ratio, 1.0) << "seed " << seed;
-            ASSERT_EQ(interleaver.deinterleave(decoded.payload_bits), payload)
+            ASSERT_EQ(decoded.payload_bits, payload)
                 << "seed " << seed << " erasure_fill " << erasure_fill;
         }
 
@@ -288,7 +283,7 @@ TEST(RandomizedRoundtrip, InterleaverParityIdentityOverFiveHundredSeeds)
         const auto recovered =
             inframe::coding::decode_gob_parity(geometry, erased, 0, true);
         ASSERT_DOUBLE_EQ(recovered.available_ratio, 1.0) << "seed " << seed;
-        ASSERT_EQ(interleaver.deinterleave(recovered.payload_bits), payload)
+        ASSERT_EQ(recovered.payload_bits, payload)
             << "seed " << seed;
     }
 }

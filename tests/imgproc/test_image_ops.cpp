@@ -123,61 +123,4 @@ TEST(ImageOps, NormalizeTo8Bit)
     EXPECT_THROW(normalize_to_8bit(a, 1.0f, 1.0f), Contract_violation);
 }
 
-TEST(ImageOps, SaturatingAddClipsAt255)
-{
-    Image8 a(3, 1);
-    Image8 b(3, 1);
-    a(0, 0) = 200;
-    b(0, 0) = 100; // would wrap to 44
-    a(1, 0) = 255;
-    b(1, 0) = 255;
-    a(2, 0) = 10;
-    b(2, 0) = 20;
-    const Image8 sum = add_saturate(a, b);
-    EXPECT_EQ(sum(0, 0), 255);
-    EXPECT_EQ(sum(1, 0), 255);
-    EXPECT_EQ(sum(2, 0), 30);
-}
-
-TEST(ImageOps, SaturatingSubtractClipsAtZero)
-{
-    Image8 a(3, 1);
-    Image8 b(3, 1);
-    a(0, 0) = 100;
-    b(0, 0) = 200; // would wrap to 156
-    a(1, 0) = 0;
-    b(1, 0) = 255;
-    a(2, 0) = 20;
-    b(2, 0) = 5;
-    const Image8 diff = subtract_saturate(a, b);
-    EXPECT_EQ(diff(0, 0), 0);
-    EXPECT_EQ(diff(1, 0), 0);
-    EXPECT_EQ(diff(2, 0), 15);
-}
-
-TEST(ImageOps, AbsDiffU8IsSymmetric)
-{
-    Image8 a(2, 1);
-    Image8 b(2, 1);
-    a(0, 0) = 255;
-    b(0, 0) = 0;
-    a(1, 0) = 30;
-    b(1, 0) = 50;
-    const Image8 d1 = abs_diff(a, b);
-    const Image8 d2 = abs_diff(b, a);
-    EXPECT_EQ(d1(0, 0), 255);
-    EXPECT_EQ(d1(1, 0), 20);
-    EXPECT_EQ(d2(0, 0), 255);
-    EXPECT_EQ(d2(1, 0), 20);
-}
-
-TEST(ImageOps, SaturatingOpsRejectShapeMismatch)
-{
-    const Image8 a(4, 4);
-    const Image8 b(4, 5);
-    EXPECT_THROW(add_saturate(a, b), Contract_violation);
-    EXPECT_THROW(subtract_saturate(a, b), Contract_violation);
-    EXPECT_THROW(abs_diff(a, b), Contract_violation);
-}
-
 } // namespace

@@ -108,49 +108,4 @@ TEST(Metrics, SsimAcceptsRgb)
     EXPECT_NEAR(ssim(rgb, rgb), 1.0, 1e-9);
 }
 
-TEST(Metrics, ResidualEnergyExactSmallCase)
-{
-    Image8 a(3, 1);
-    Image8 b(3, 1);
-    a(0, 0) = 10;
-    b(0, 0) = 13; // 3^2 = 9
-    a(1, 0) = 255;
-    b(1, 0) = 250; // 5^2 = 25
-    a(2, 0) = 7;
-    b(2, 0) = 7; // 0
-    EXPECT_EQ(residual_energy(a, b), 34);
-    EXPECT_EQ(residual_energy(b, a), 34);
-    EXPECT_EQ(residual_energy(a, a), 0);
-}
-
-TEST(Metrics, ResidualEnergyWorstCaseExceedsInt32)
-{
-    // Regression pin for the accumulator width: a 256x256 frame where
-    // every pixel differs by the full 255 sums to 256*256*255^2 =
-    // 4,261,478,400 — past INT32_MAX (and past UINT32_MAX once the frame
-    // edge exceeds 256). A 32-bit accumulator would wrap; the int64 result
-    // must be exact.
-    const Image8 black(256, 256, 1, 0);
-    const Image8 white(256, 256, 1, 255);
-    const std::int64_t expected = 256LL * 256LL * 255LL * 255LL;
-    EXPECT_EQ(expected, 4261478400LL);
-    EXPECT_GT(expected, static_cast<std::int64_t>(INT32_MAX));
-    EXPECT_EQ(residual_energy(black, white), expected);
-}
-
-TEST(Metrics, ResidualEnergyRegion)
-{
-    Image8 a(8, 8, 1, 0);
-    Image8 b(8, 8, 1, 0);
-    // Differences only inside the region [2,6) x [3,5): 8 pixels of 255 —
-    // and one poison pixel outside that must not be counted.
-    for (int y = 3; y < 5; ++y) {
-        for (int x = 2; x < 6; ++x) b(x, y) = 255;
-    }
-    b(0, 0) = 255;
-    EXPECT_EQ(residual_energy_region(a, b, 2, 3, 4, 2), 8LL * 255 * 255);
-    EXPECT_EQ(residual_energy_region(a, b, 1, 1, 2, 2), 0);
-    EXPECT_THROW(residual_energy_region(a, b, 5, 5, 4, 4), Contract_violation);
-}
-
 } // namespace

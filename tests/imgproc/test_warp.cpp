@@ -99,6 +99,24 @@ TEST(Homography, CollinearQuadRejected)
     EXPECT_THROW(Homography::unit_square_to_quad(degenerate), Contract_violation);
 }
 
+TEST(SampleBilinear, InterpolatesBetweenPixels)
+{
+    Imagef a(2, 1);
+    a(0, 0) = 10.0f;
+    a(1, 0) = 20.0f;
+    EXPECT_NEAR(sample_bilinear(a, 0.5f, 0.0f), 15.0f, 1e-4f);
+    EXPECT_NEAR(sample_bilinear(a, 0.25f, 0.0f), 12.5f, 1e-4f);
+}
+
+TEST(SampleBilinear, ClampsOutside)
+{
+    Imagef a(2, 2);
+    a(0, 0) = 1.0f;
+    a(1, 1) = 9.0f;
+    EXPECT_NEAR(sample_bilinear(a, -3.0f, -3.0f), 1.0f, 1e-4f);
+    EXPECT_NEAR(sample_bilinear(a, 10.0f, 10.0f), 9.0f, 1e-4f);
+}
+
 TEST(WarpPerspective, IdentityIsACopy)
 {
     const Imagef board = checkerboard(32, 24, 4, 10.0f, 200.0f);

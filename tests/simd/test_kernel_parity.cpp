@@ -207,34 +207,6 @@ PARITY_KERNEL(widen_u8)
     expect_bitwise_equal(want, got, "widen_u8");
 }
 
-void binary_u8_case(void (*rfn)(const std::uint8_t*, const std::uint8_t*, std::uint8_t*, int),
-                    void (*tfn)(const std::uint8_t*, const std::uint8_t*, std::uint8_t*, int),
-                    std::mt19937& rng, const char* what)
-{
-    const int n = random_size(rng);
-    const auto a = random_bytes(rng, n);
-    const auto b = random_bytes(rng, n);
-    std::vector<std::uint8_t> want(static_cast<std::size_t>(n));
-    std::vector<std::uint8_t> got(static_cast<std::size_t>(n));
-    rfn(a.data(), b.data(), want.data(), n);
-    tfn(a.data(), b.data(), got.data(), n);
-    expect_bitwise_equal(want, got, what);
-}
-
-PARITY_KERNEL(add_sat_u8) { binary_u8_case(ref.add_sat_u8, tst.add_sat_u8, rng, "add_sat_u8"); }
-PARITY_KERNEL(sub_sat_u8) { binary_u8_case(ref.sub_sat_u8, tst.sub_sat_u8, rng, "sub_sat_u8"); }
-PARITY_KERNEL(absdiff_u8) { binary_u8_case(ref.absdiff_u8, tst.absdiff_u8, rng, "absdiff_u8"); }
-
-PARITY_KERNEL(residual_energy_u8)
-{
-    const int n = random_size(rng);
-    const auto a = random_bytes(rng, n);
-    const auto b = random_bytes(rng, n);
-    EXPECT_EQ(ref.residual_energy_u8(a.data(), b.data(), n),
-              tst.residual_energy_u8(a.data(), b.data(), n))
-        << "residual_energy_u8 (n=" << n << ")";
-}
-
 PARITY_KERNEL(row_sum_f64)
 {
     const int n = random_size(rng);
@@ -309,32 +281,6 @@ PARITY_KERNEL(box_blur_h)
         const auto s = static_cast<std::size_t>(lane);
         expect_bitwise_equal(want[s], got[s], "box_blur_h");
     }
-}
-
-PARITY_KERNEL(bilinear_row)
-{
-    const int n = random_size(rng);
-    const int src_w = 1 + static_cast<int>(rng() % 128u);
-    const auto row0 = random_floats(rng, src_w);
-    const auto row1 = random_floats(rng, src_w);
-    std::vector<std::int32_t> idx0(static_cast<std::size_t>(n));
-    std::vector<std::int32_t> idx1(static_cast<std::size_t>(n));
-    std::vector<float> tx(static_cast<std::size_t>(n));
-    std::uniform_real_distribution<float> frac(0.0f, 1.0f);
-    for (int i = 0; i < n; ++i) {
-        const auto s = static_cast<std::size_t>(i);
-        idx0[s] = static_cast<std::int32_t>(rng() % static_cast<unsigned>(src_w));
-        idx1[s] = std::min(idx0[s] + 1, src_w - 1);
-        tx[s] = frac(rng);
-    }
-    const float ty = frac(rng);
-    std::vector<float> want(static_cast<std::size_t>(n));
-    std::vector<float> got(static_cast<std::size_t>(n));
-    ref.bilinear_row(row0.data(), row1.data(), idx0.data(), idx1.data(), tx.data(), ty,
-                     want.data(), n);
-    tst.bilinear_row(row0.data(), row1.data(), idx0.data(), idx1.data(), tx.data(), ty,
-                     got.data(), n);
-    expect_bitwise_equal(want, got, "bilinear_row");
 }
 
 // --- the differential fuzzer ------------------------------------------------
