@@ -189,9 +189,9 @@ int main(int argc, char** argv)
         config.impairments.occlusion_fraction = 0.08;
         config.impairments.tear_probability = 0.3;
         config.erasure_aware = true;
-        config.threads = 1;
+        config.inframe.threads = 1;
         const auto serial = core::run_link_experiment(config);
-        config.threads = 4;
+        config.inframe.threads = 4;
         const auto parallel = core::run_link_experiment(config);
         deterministic = identical(serial, parallel);
         std::printf("threads=1 vs threads=4: %s (BER %.6f vs %.6f, drops %lld vs %lld)\n\n",

@@ -252,7 +252,6 @@ void run_simd_speedup_table(const bench::Args& args)
     std::vector<float> fb(n);
     std::vector<float> fout(n);
     std::vector<double> dacc(n);
-    std::vector<std::uint8_t> uout(n);
     std::vector<std::uint32_t> mask(n);
     for (int i = 0; i < n; ++i) {
         fa[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
@@ -283,10 +282,8 @@ void run_simd_speedup_table(const bench::Args& args)
         {"masked_add_f32", [&](const Kernels& k) {
              k.masked_add_f32(fout.data(), mask.data(), n, 1.5f);
          }},
-        {"add_f32", [&](const Kernels& k) { k.add_f32(fa.data(), fb.data(), fout.data(), n); }},
         {"absdiff_f32",
          [&](const Kernels& k) { k.absdiff_f32(fa.data(), fb.data(), fout.data(), n); }},
-        {"quantize_u8", [&](const Kernels& k) { k.quantize_u8(fa.data(), uout.data(), n); }},
         {"row_sum_f64",
          [&](const Kernels& k) { benchmark::DoNotOptimize(k.row_sum_f64(fa.data(), n)); }},
         {"vblur_update",

@@ -43,7 +43,7 @@ core::Link_experiment_config make_config(double duration, int threads, int frame
     config.camera.read_noise_sigma = 1.5;
     config.camera.quantize = true;
     config.duration_s = duration;
-    config.threads = threads;
+    config.inframe.threads = threads;
     config.frames_in_flight = frames_in_flight;
     return config;
 }

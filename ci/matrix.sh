@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# Build-and-test matrix: the release build at every SIMD dispatch level the
-# host supports, plus the sanitizer configurations from README.md. Each leg
-# is an independent build tree under build-matrix/ so legs can be re-run
-# individually:
+# Build-and-test matrix: the release build at both SIMD dispatch levels a
+# host runs (its one vector level, AVX2 on x86-64 or NEON on aarch64, and
+# the scalar reference), plus the sanitizer configurations from README.md.
+# Each leg is an independent build tree under build-matrix/ so legs can be
+# re-run individually:
 #
 #   ci/matrix.sh                 # all legs
 #   ci/matrix.sh release tsan    # just these legs
 #
 # Legs:
 #   release       Release build, full ctest suite at the auto-detected
-#                 SIMD level, then the tier-1 suites again with
+#                 vector level, then the tier-1 suites again with
 #                 INFRAME_SIMD=scalar — the scalar dispatch path must stay
 #                 green, not just parity-tested (a kernel whose vector
 #                 path works but whose scalar path rotted would otherwise
@@ -23,7 +24,7 @@
 #
 # Every sanitizer leg also re-runs the simd label under INFRAME_SIMD=scalar:
 # the scalar reference kernels are exactly what the differential harness
-# trusts, so they get sanitizer coverage at both dispatch extremes.
+# trusts, so they get sanitizer coverage at both dispatch levels.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -182,6 +182,12 @@ Camera_optics::Camera_optics(const Camera_params& params, int screen_width, int 
                   "sensor resolution must be positive");
     util::expects(std::isfinite(params.optical_blur_sigma) && params.optical_blur_sigma >= 0.0,
                   "optical blur must be finite and non-negative");
+    // The blur radius is an int of ceil(3 sigma) and the kernel holds
+    // 2*radius + 1 taps, so sigma is bounded by the sensor size; a wider
+    // blur is a nearly flat field anyway.
+    util::expects(params.optical_blur_sigma
+                      <= static_cast<double>(std::max(params.sensor_width, params.sensor_height)),
+                  "optical blur cannot exceed the sensor size");
     util::expects(std::isfinite(params.offset_x_px) && std::isfinite(params.offset_y_px),
                   "sensor offset must be finite");
     util::expects(params.shot_noise_scale >= 0.0, "shot noise scale must be non-negative");

@@ -46,7 +46,8 @@ struct Camera_params {
     int sensor_width = 1280;
     int sensor_height = 720;
 
-    // Lens blur on the sensor plane (Gaussian sigma, sensor pixels).
+    // Lens blur on the sensor plane (Gaussian sigma, sensor pixels; at most
+    // max(sensor_width, sensor_height)).
     double optical_blur_sigma = 0.5;
 
     // Misalignment of the screen image on the sensor (sensor pixels).

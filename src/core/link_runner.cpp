@@ -23,8 +23,7 @@ Link_experiment_result run_link_experiment(const Link_experiment_config& config)
 
     // Install the experiment's thread budget for every stage below
     // (encoder embed, channel kernels, decoder metrics). Restored on exit.
-    const util::Parallel_scope parallel_scope(
-        config.threads >= 0 ? config.threads : config.inframe.threads);
+    const util::Parallel_scope parallel_scope(config.inframe.threads);
 
     // Trace export for this run; inert when no trace_dir is configured or
     // an outer session is already collecting.
@@ -207,8 +206,7 @@ hvs::Panel_result run_flicker_experiment(const Flicker_experiment_config& config
     util::expects(config.observers >= 1, "flicker experiment: need at least one observer");
     config.inframe.validate();
 
-    const util::Parallel_scope parallel_scope(
-        config.threads >= 0 ? config.threads : config.inframe.threads);
+    const util::Parallel_scope parallel_scope(config.inframe.threads);
 
     telemetry::Session telemetry_session(config.telemetry);
 

@@ -58,11 +58,6 @@ struct Link_experiment_config {
     // (make_random_payload_source).
     Payload_source payloads;
 
-    // Worker threads for this experiment: -1 inherits inframe.threads,
-    // 0 = hardware concurrency, 1 = serial, N = exactly N lanes. Output is
-    // bit-identical for every value (see DESIGN.md).
-    int threads = -1;
-
     // Frames-in-flight window for the stage-graph executor: 1 = serial,
     // >1 overlaps stages across display frames (one thread per stage,
     // bounded queues). Output is bit-identical for every value.
@@ -120,9 +115,6 @@ struct Flicker_experiment_config {
     std::uint64_t observer_seed = 42;
     double duration_s = 2.0;
     std::uint64_t data_seed = util::Prng::default_seed;
-
-    // Same contract as Link_experiment_config::threads.
-    int threads = -1;
 
     // Same contract as Link_experiment_config::frames_in_flight.
     int frames_in_flight = 1;

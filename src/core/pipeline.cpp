@@ -10,6 +10,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 namespace inframe::core {
@@ -29,6 +30,21 @@ void recycle_token(Frame_token&& token)
     img::Frame_pool::instance().recycle(std::move(token.reference));
 }
 
+// One timed stage call: push(*token), or flush() when token is empty. The
+// stage's trace span and Stage_metrics::wall_s bracket the same call.
+std::vector<Frame_token> timed_call(Stage& stage, Stage_metrics& sm,
+                                    std::optional<Frame_token> token)
+{
+    const Clock::time_point t0 = Clock::now();
+    std::vector<Frame_token> outputs;
+    {
+        telemetry::Scoped_span span(stage.name());
+        outputs = token ? stage.push(std::move(*token)) : stage.flush();
+    }
+    sm.wall_s += seconds_since(t0);
+    return outputs;
+}
+
 } // namespace
 
 Stage& Pipeline::add_stage(std::unique_ptr<Stage> stage)
@@ -46,8 +62,7 @@ Pipeline_metrics Pipeline::run(std::int64_t head_tokens, Pipeline_options option
 
     // Record which SIMD level the kernels below will run at; telemetry
     // reports print gauges, so the dispatch decision shows up next to the
-    // stage timings it explains (Level enum value: 0=scalar 1=sse2 2=avx2
-    // 3=neon).
+    // stage timings it explains (Level enum value: 0=scalar 1=avx2 2=neon).
     static const int simd_gauge =
         telemetry::intern_metric("simd.dispatch_level", telemetry::Metric_kind::gauge);
     telemetry::gauge_set(simd_gauge, static_cast<double>(simd::active_level()));
@@ -85,13 +100,7 @@ Pipeline_metrics Pipeline::run_serial(std::int64_t head_tokens, const Pipeline_o
         }
         Stage_metrics& sm = metrics.stages[s];
         ++sm.tokens_in;
-        const Clock::time_point t0 = Clock::now();
-        std::vector<Frame_token> outputs;
-        {
-            telemetry::Scoped_span span(stages_[s]->name());
-            outputs = stages_[s]->push(std::move(token));
-        }
-        sm.wall_s += seconds_since(t0);
+        std::vector<Frame_token> outputs = timed_call(*stages_[s], sm, std::move(token));
         sm.tokens_out += static_cast<std::int64_t>(outputs.size());
         for (Frame_token& out : outputs) feed(s + 1, std::move(out));
     };
@@ -106,13 +115,7 @@ Pipeline_metrics Pipeline::run_serial(std::int64_t head_tokens, const Pipeline_o
 
     for (std::size_t s = 0; s < n; ++s) {
         Stage_metrics& sm = metrics.stages[s];
-        const Clock::time_point t0 = Clock::now();
-        std::vector<Frame_token> outputs;
-        {
-            telemetry::Scoped_span span(stages_[s]->name());
-            outputs = stages_[s]->flush();
-        }
-        sm.wall_s += seconds_since(t0);
+        std::vector<Frame_token> outputs = timed_call(*stages_[s], sm, std::nullopt);
         sm.tokens_out += static_cast<std::int64_t>(outputs.size());
         for (Frame_token& out : outputs) feed(s + 1, std::move(out));
     }
@@ -175,13 +178,7 @@ Pipeline_metrics Pipeline::run_overlapped(std::int64_t head_tokens, const Pipeli
                     if (stop.load(std::memory_order_relaxed)) break;
                     Frame_token token;
                     token.index = i;
-                    const Clock::time_point t0 = Clock::now();
-                    std::vector<Frame_token> outputs;
-                    {
-                        telemetry::Scoped_span span(stage.name());
-                        outputs = stage.push(std::move(token));
-                    }
-                    sm.wall_s += seconds_since(t0);
+                    std::vector<Frame_token> outputs = timed_call(stage, sm, std::move(token));
                     ++sm.tokens_in;
                     ++metrics.head_tokens;
                     if (!emit(std::move(outputs))) {
@@ -192,13 +189,7 @@ Pipeline_metrics Pipeline::run_overlapped(std::int64_t head_tokens, const Pipeli
             } else {
                 while (std::optional<Frame_token> token = in->pop()) {
                     ++sm.tokens_in;
-                    const Clock::time_point t0 = Clock::now();
-                    std::vector<Frame_token> outputs;
-                    {
-                        telemetry::Scoped_span span(stage.name());
-                        outputs = stage.push(std::move(*token));
-                    }
-                    sm.wall_s += seconds_since(t0);
+                    std::vector<Frame_token> outputs = timed_call(stage, sm, std::move(token));
                     if (!emit(std::move(outputs))) {
                         downstream_alive = false;
                         break;
@@ -206,16 +197,7 @@ Pipeline_metrics Pipeline::run_overlapped(std::int64_t head_tokens, const Pipeli
                 }
             }
 
-            if (downstream_alive) {
-                const Clock::time_point t0 = Clock::now();
-                std::vector<Frame_token> outputs;
-                {
-                    telemetry::Scoped_span span(stage.name());
-                    outputs = stage.flush();
-                }
-                sm.wall_s += seconds_since(t0);
-                emit(std::move(outputs));
-            }
+            if (downstream_alive) emit(timed_call(stage, sm, std::nullopt));
             // Normal end of stream: downstream drains what is queued,
             // then sees the close and flushes in turn.
             if (out != nullptr) out->close();

@@ -4,6 +4,7 @@
 #include "simd/simd.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace inframe::img {
@@ -12,10 +13,10 @@ namespace {
 
 // Flat values per parallel chunk for elementwise ops. Each element is
 // computed independently, so any partition is bit-identical; the grain just
-// keeps chunk dispatch overhead negligible. The per-element work inside a
-// chunk goes through the simd dispatch table (bit-identical at every
-// level, see src/simd/simd.hpp), so partitioning and vectorization compose
-// without affecting results.
+// keeps chunk dispatch overhead negligible. Where the per-element work
+// inside a chunk goes through the simd dispatch table (bit-identical at
+// every level, see src/simd/simd.hpp), partitioning and vectorization
+// compose without affecting results.
 constexpr std::int64_t value_grain = 1 << 15;
 
 } // namespace
@@ -25,11 +26,17 @@ Image8 to_u8(const Imagef& src)
     Image8 out(src.width(), src.height(), src.channels());
     const auto in = src.values();
     auto dst = out.values();
-    const auto& k = simd::kernels();
     util::parallel_for(0, static_cast<std::int64_t>(in.size()), value_grain,
                        [&](std::int64_t i0, std::int64_t i1) {
-                           k.quantize_u8(in.data() + i0, dst.data() + i0,
-                                         static_cast<int>(i1 - i0));
+                           for (std::int64_t i = i0; i < i1; ++i) {
+                               const auto s = static_cast<std::size_t>(i);
+                               // Saturate before rounding: identical to
+                               // clamp(lround(v), 0, 255) for every finite v
+                               // (lround is monotonic) and it keeps lround's
+                               // argument in range.
+                               const float v = std::min(std::max(in[s], 0.0f), 255.0f);
+                               dst[s] = static_cast<std::uint8_t>(std::lround(v));
+                           }
                        });
     return out;
 }
@@ -39,11 +46,12 @@ Imagef to_float(const Image8& src)
     Imagef out = Frame_pool::instance().acquire(src.width(), src.height(), src.channels());
     const auto in = src.values();
     auto dst = out.values();
-    const auto& k = simd::kernels();
     util::parallel_for(0, static_cast<std::int64_t>(in.size()), value_grain,
                        [&](std::int64_t i0, std::int64_t i1) {
-                           k.widen_u8(in.data() + i0, dst.data() + i0,
-                                      static_cast<int>(i1 - i0));
+                           for (std::int64_t i = i0; i < i1; ++i) {
+                               const auto s = static_cast<std::size_t>(i);
+                               dst[s] = static_cast<float>(in[s]);
+                           }
                        });
     return out;
 }
@@ -87,12 +95,10 @@ Imagef binary_elementwise(const Imagef& a, const Imagef& b, const char* what,
 
 Imagef add(const Imagef& a, const Imagef& b)
 {
-    return binary_elementwise(a, b, "add: shape mismatch", simd::kernels().add_f32);
-}
-
-Imagef subtract(const Imagef& a, const Imagef& b)
-{
-    return binary_elementwise(a, b, "subtract: shape mismatch", simd::kernels().sub_f32);
+    return binary_elementwise(a, b, "add: shape mismatch",
+                              [](const float* lhs, const float* rhs, float* out, int n) {
+                                  for (int i = 0; i < n; ++i) out[i] = lhs[i] + rhs[i];
+                              });
 }
 
 Imagef abs_diff(const Imagef& a, const Imagef& b)
@@ -123,20 +129,6 @@ void clamp(Imagef& image, float lo, float hi)
     util::parallel_for(0, static_cast<std::int64_t>(values.size()), value_grain,
                        [&](std::int64_t i0, std::int64_t i1) {
                            k.clamp_f32(values.data() + i0, static_cast<int>(i1 - i0), lo, hi);
-                       });
-}
-
-void accumulate(Imagef& a, const Imagef& b, float weight)
-{
-    util::expects(a.same_shape(b), "accumulate: shape mismatch");
-    auto dst = a.values();
-    const auto rhs = b.values();
-    util::parallel_for(0, static_cast<std::int64_t>(dst.size()), value_grain,
-                       [&](std::int64_t i0, std::int64_t i1) {
-                           for (std::int64_t i = i0; i < i1; ++i) {
-                               const auto s = static_cast<std::size_t>(i);
-                               dst[s] += rhs[s] * weight;
-                           }
                        });
 }
 
@@ -202,15 +194,6 @@ std::pair<float, float> min_max(const Imagef& image)
         hi = std::max(hi, v);
     }
     return {lo, hi};
-}
-
-Imagef normalize_to_8bit(const Imagef& image, float in_lo, float in_hi)
-{
-    util::expects(in_hi > in_lo, "normalize_to_8bit: degenerate input range");
-    const float scale = 255.0f / (in_hi - in_lo);
-    Imagef out = affine(image, scale, -in_lo * scale);
-    clamp(out, 0.0f, 255.0f);
-    return out;
 }
 
 } // namespace inframe::img

@@ -10,9 +10,6 @@ namespace inframe::img {
 // out = a + b (shapes must match).
 Imagef add(const Imagef& a, const Imagef& b);
 
-// out = a - b (shapes must match).
-Imagef subtract(const Imagef& a, const Imagef& b);
-
 // out = |a - b| (shapes must match).
 Imagef abs_diff(const Imagef& a, const Imagef& b);
 
@@ -21,9 +18,6 @@ Imagef affine(const Imagef& a, float scale, float offset);
 
 // In-place clamp of every value to [lo, hi].
 void clamp(Imagef& image, float lo, float hi);
-
-// In-place a += b * weight.
-void accumulate(Imagef& a, const Imagef& b, float weight = 1.0f);
 
 // Mean over all values.
 double mean(const Imagef& image);
@@ -36,8 +30,5 @@ double mean_abs_region(const Imagef& image, int x0, int y0, int w, int h, int c 
 
 // Min and max over all values.
 std::pair<float, float> min_max(const Imagef& image);
-
-// Returns a copy scaled so values map [in_lo,in_hi] -> [0,255], clamped.
-Imagef normalize_to_8bit(const Imagef& image, float in_lo, float in_hi);
 
 } // namespace inframe::img

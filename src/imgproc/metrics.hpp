@@ -1,6 +1,6 @@
 // Full-reference image quality metrics. Used to verify that the decoded
 // experience matches the paper's claims: complementary pairs must average
-// back to the original (high PSNR/SSIM of the temporal mean vs. V), while
+// back to the original (high PSNR of the temporal mean vs. V), while
 // individual multiplexed frames show "obvious artifacts" (low PSNR).
 #pragma once
 
@@ -17,10 +17,5 @@ double mse(const Imagef& a, const Imagef& b);
 // Peak signal-to-noise ratio in dB for the 8-bit domain (peak = 255).
 // Returns +inf for identical images.
 double psnr(const Imagef& a, const Imagef& b);
-
-// Global SSIM (mean of the local SSIM map, 8x8 windows, standard C1/C2
-// constants for 8-bit dynamic range). Grayscale only; RGB inputs are
-// converted to luminance first.
-double ssim(const Imagef& a, const Imagef& b);
 
 } // namespace inframe::img

@@ -18,7 +18,7 @@
 namespace inframe::simd {
 namespace {
 
-constexpr int level_count = 4;
+constexpr int level_count = 3;
 
 struct Dispatch_state {
     std::array<Kernels, level_count> tables{};
@@ -33,7 +33,6 @@ bool is_supported_here(Level level)
 #if defined(__x86_64__)
     switch (level) {
     case Level::scalar: return true;
-    case Level::sse2: return true; // x86-64 baseline
     case Level::avx2:
 #if defined(__GNUC__) || defined(__clang__)
         return __builtin_cpu_supports("avx2") != 0;
@@ -55,14 +54,13 @@ Dispatch_state build_state()
 {
     Dispatch_state s;
 
-    // Cumulative composition: each table starts from the previous level's,
-    // so an unsupported-at-compile-time level inherits the best below it.
+    // Each vector table starts from the scalar one, so a level not built
+    // for this compile target (or a kernel it skips) keeps the reference.
     s.tables[int(Level::scalar)] = detail::scalar_table();
-    s.tables[int(Level::sse2)] = detail::sse2_table(s.tables[int(Level::scalar)]);
-    s.tables[int(Level::avx2)] = detail::avx2_table(s.tables[int(Level::sse2)]);
+    s.tables[int(Level::avx2)] = detail::avx2_table(s.tables[int(Level::scalar)]);
     s.tables[int(Level::neon)] = detail::neon_table(s.tables[int(Level::scalar)]);
 
-    for (Level level : {Level::scalar, Level::sse2, Level::avx2, Level::neon}) {
+    for (Level level : {Level::scalar, Level::avx2, Level::neon}) {
         if (is_supported_here(level)) {
             s.available[s.available_count++] = level;
             s.best = level;
@@ -103,7 +101,6 @@ const char* to_string(Level level)
 {
     switch (level) {
     case Level::scalar: return "scalar";
-    case Level::sse2: return "sse2";
     case Level::avx2: return "avx2";
     case Level::neon: return "neon";
     }
@@ -140,10 +137,9 @@ Level level_from_name(const std::string& name)
     std::transform(name.begin(), name.end(), lower.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     if (lower == "scalar") return Level::scalar;
-    if (lower == "sse2") return Level::sse2;
     if (lower == "avx2") return Level::avx2;
     if (lower == "neon") return Level::neon;
-    util::expects(false, "INFRAME_SIMD must be scalar, sse2, avx2, or neon");
+    util::expects(false, "INFRAME_SIMD must be scalar, avx2, or neon");
     return Level::scalar; // unreachable
 }
 

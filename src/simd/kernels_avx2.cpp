@@ -1,8 +1,21 @@
-// AVX2 kernels. Built on top of the SSE2 table: kernels re-implemented
-// here go 8 floats wide; everything else inherits the SSE2 version.
-// Bit-identity arguments mirror kernels_sse2.cpp — wider vectors change
-// nothing about per-lane arithmetic, and row_sum_f64 keeps the same
-// fixed 8-lane accumulation shape (two 4-wide double accumulators).
+// AVX2 kernels: the x86-64 vector level. The table starts from the scalar
+// one and re-implements every kernel_list.def row, 8 floats wide.
+//
+// Bit-identity with the scalar reference, kernel by kernel (the NEON level
+// rests on the same arguments):
+//  - absdiff and clamp vectorize lane-for-lane (no reassociation); |x| is
+//    a sign-bit clear (andnot with -0.0f), exactly fabsf;
+//  - masked_add selects per lane between x and x+delta, so unset lanes
+//    are untouched (no x += 0.0f, which would flip -0.0f to +0.0f);
+//  - row_sum_f64 maps vector lanes onto the reference's fixed 8-lane
+//    accumulation shape (two 4-wide double accumulators) and merges them
+//    in the same order;
+//  - the blur kernels widen with cvtps_pd / narrow with cvtpd_ps, the
+//    same conversions the reference's casts perform;
+//  - box_blur_h puts independent streams in lanes, replaying the scalar
+//    op sequence per lane.
+// Every claim above is enforced by the differential fuzzer in
+// tests/simd/test_kernel_parity.cpp.
 //
 // This file is compiled with -mavx2 (see src/simd/CMakeLists.txt) and its
 // functions are only reachable after a runtime CPUID check in dispatch.cpp.
@@ -18,26 +31,6 @@
 
 namespace inframe::simd {
 namespace avx2 {
-
-void add_f32(const float* a, const float* b, float* out, int n)
-{
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        _mm256_storeu_ps(out + i,
-                         _mm256_add_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-    }
-    for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void sub_f32(const float* a, const float* b, float* out, int n)
-{
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        _mm256_storeu_ps(out + i,
-                         _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
-    }
-    for (; i < n; ++i) out[i] = a[i] - b[i];
-}
 
 void absdiff_f32(const float* a, const float* b, float* out, int n)
 {
@@ -76,39 +69,6 @@ void masked_add_f32(float* dst, const std::uint32_t* mask, int n, float delta)
     for (; i < n; ++i) {
         if (mask[i]) dst[i] += delta;
     }
-}
-
-void quantize_u8(const float* in, std::uint8_t* out, int n)
-{
-    const __m256 vlo = _mm256_setzero_ps();
-    const __m256 vhi = _mm256_set1_ps(255.0f);
-    const __m256d half = _mm256_set1_pd(0.5);
-    const __m128i zero = _mm_setzero_si128();
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 x = _mm256_min_ps(_mm256_max_ps(_mm256_loadu_ps(in + i), vlo), vhi);
-        const __m128i lo4 = _mm256_cvttpd_epi32(
-            _mm256_add_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(x)), half));
-        const __m128i hi4 = _mm256_cvttpd_epi32(
-            _mm256_add_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(x, 1)), half));
-        const __m128i words = _mm_packs_epi32(lo4, hi4);
-        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i),
-                         _mm_packus_epi16(words, zero));
-    }
-    for (; i < n; ++i) {
-        const float v = std::min(std::max(in[i], 0.0f), 255.0f);
-        out[i] = static_cast<std::uint8_t>(std::lround(v));
-    }
-}
-
-void widen_u8(const std::uint8_t* in, float* out, int n)
-{
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m128i bytes = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(in + i));
-        _mm256_storeu_ps(out + i, _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes)));
-    }
-    for (; i < n; ++i) out[i] = static_cast<float>(in[i]);
 }
 
 double row_sum_f64(const float* p, int n)

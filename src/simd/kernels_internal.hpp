@@ -1,7 +1,7 @@
 // Internal glue between dispatch.cpp and the per-level kernel files.
-// Each level builds its table on top of the previous one (scalar -> sse2
-// -> avx2 on x86-64; scalar -> neon on aarch64), so a level that does not
-// re-implement a kernel inherits the best lower-level version.
+// Each vector level builds its table on top of the scalar one (scalar ->
+// avx2 on x86-64; scalar -> neon on aarch64), so a kernel a level does not
+// re-implement falls back to the reference.
 #pragma once
 
 #include "simd/simd.hpp"
@@ -24,7 +24,6 @@ Kernels scalar_table();
 
 // Compiled on every platform; on a platform without the ISA they return
 // `base` unchanged (dispatch.cpp never selects the level there anyway).
-Kernels sse2_table(Kernels base);
 Kernels avx2_table(Kernels base);
 Kernels neon_table(Kernels base);
 

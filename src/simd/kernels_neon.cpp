@@ -1,8 +1,7 @@
 // NEON kernels (aarch64). Built on top of the scalar table; the
 // structurally complex box_blur_h inherits the scalar version — NEON still
-// covers every elementwise and reduction kernel. Bit-identity arguments mirror kernels_sse2.cpp; quantize_u8
-// uses FCVTAS (vcvtaq_s32_f32, round-ties-away), which matches lround
-// directly for in-range values.
+// covers every elementwise and reduction kernel. The bit-identity
+// arguments are the ones listed in kernels_avx2.cpp.
 
 #include "simd/kernels_internal.hpp"
 
@@ -15,20 +14,6 @@
 
 namespace inframe::simd {
 namespace neon {
-
-void add_f32(const float* a, const float* b, float* out, int n)
-{
-    int i = 0;
-    for (; i + 4 <= n; i += 4) vst1q_f32(out + i, vaddq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-    for (; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void sub_f32(const float* a, const float* b, float* out, int n)
-{
-    int i = 0;
-    for (; i + 4 <= n; i += 4) vst1q_f32(out + i, vsubq_f32(vld1q_f32(a + i), vld1q_f32(b + i)));
-    for (; i < n; ++i) out[i] = a[i] - b[i];
-}
 
 void absdiff_f32(const float* a, const float* b, float* out, int n)
 {
@@ -66,37 +51,6 @@ void masked_add_f32(float* dst, const std::uint32_t* mask, int n, float delta)
     for (; i < n; ++i) {
         if (mask[i]) dst[i] += delta;
     }
-}
-
-void quantize_u8(const float* in, std::uint8_t* out, int n)
-{
-    const float32x4_t vlo = vdupq_n_f32(0.0f);
-    const float32x4_t vhi = vdupq_n_f32(255.0f);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const float32x4_t x0 = vminq_f32(vmaxq_f32(vld1q_f32(in + i), vlo), vhi);
-        const float32x4_t x1 = vminq_f32(vmaxq_f32(vld1q_f32(in + i + 4), vlo), vhi);
-        const int32x4_t i0 = vcvtaq_s32_f32(x0); // round-ties-away == lround
-        const int32x4_t i1 = vcvtaq_s32_f32(x1);
-        const uint16x8_t words =
-            vcombine_u16(vqmovun_s32(i0), vqmovun_s32(i1));
-        vst1_u8(out + i, vqmovn_u16(words));
-    }
-    for (; i < n; ++i) {
-        const float v = std::min(std::max(in[i], 0.0f), 255.0f);
-        out[i] = static_cast<std::uint8_t>(std::lround(v));
-    }
-}
-
-void widen_u8(const std::uint8_t* in, float* out, int n)
-{
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const uint16x8_t w = vmovl_u8(vld1_u8(in + i));
-        vst1q_f32(out + i, vcvtq_f32_u32(vmovl_u16(vget_low_u16(w))));
-        vst1q_f32(out + i + 4, vcvtq_f32_u32(vmovl_u16(vget_high_u16(w))));
-    }
-    for (; i < n; ++i) out[i] = static_cast<float>(in[i]);
 }
 
 double row_sum_f64(const float* p, int n)
@@ -163,13 +117,9 @@ Kernels neon_table(Kernels base)
 {
     // Explicit partial assignment: box_blur_h stays on the inherited
     // (scalar) implementation.
-    base.add_f32 = neon::add_f32;
-    base.sub_f32 = neon::sub_f32;
     base.absdiff_f32 = neon::absdiff_f32;
     base.clamp_f32 = neon::clamp_f32;
     base.masked_add_f32 = neon::masked_add_f32;
-    base.quantize_u8 = neon::quantize_u8;
-    base.widen_u8 = neon::widen_u8;
     base.row_sum_f64 = neon::row_sum_f64;
     base.vblur_accum = neon::vblur_accum;
     base.vblur_update = neon::vblur_update;

@@ -13,16 +13,6 @@
 namespace inframe::simd {
 namespace scalar {
 
-void add_f32(const float* a, const float* b, float* out, int n)
-{
-    for (int i = 0; i < n; ++i) out[i] = a[i] + b[i];
-}
-
-void sub_f32(const float* a, const float* b, float* out, int n)
-{
-    for (int i = 0; i < n; ++i) out[i] = a[i] - b[i];
-}
-
 void absdiff_f32(const float* a, const float* b, float* out, int n)
 {
     for (int i = 0; i < n; ++i) out[i] = std::fabs(a[i] - b[i]);
@@ -38,22 +28,6 @@ void masked_add_f32(float* dst, const std::uint32_t* mask, int n, float delta)
     for (int i = 0; i < n; ++i) {
         if (mask[i]) dst[i] += delta;
     }
-}
-
-void quantize_u8(const float* in, std::uint8_t* out, int n)
-{
-    for (int i = 0; i < n; ++i) {
-        // Saturate before rounding: identical to clamp(lround(v), 0, 255)
-        // for every finite v (lround is monotonic) and it keeps lround's
-        // argument in-range, which the vector levels rely on too.
-        const float v = std::min(std::max(in[i], 0.0f), 255.0f);
-        out[i] = static_cast<std::uint8_t>(std::lround(v));
-    }
-}
-
-void widen_u8(const std::uint8_t* in, float* out, int n)
-{
-    for (int i = 0; i < n; ++i) out[i] = static_cast<float>(in[i]);
 }
 
 double row_sum_f64(const float* p, int n)

@@ -1,19 +1,20 @@
 // Runtime-dispatched SIMD kernel layer.
 //
-// Every per-pixel hot path in the decoder and encoder (chessboard embed,
-// box blur, per-block residual accumulation, elementwise image ops, uint8
-// quantization) funnels through the function-pointer table below. A scalar reference implementation is always built; on
-// x86-64 the SSE2 and (hardware permitting) AVX2 tables are built too, on
-// aarch64 the NEON table. The active table is chosen once, at first use:
+// The per-pixel hot paths of the encoder and decoder (chessboard embed and
+// clamp, box blur, per-block residuals and means) funnel through the
+// function-pointer table below. A scalar reference implementation is
+// always built, plus one vector level per ISA: AVX2 on x86-64 (hardware
+// permitting), NEON on aarch64. The active table is chosen once, at first
+// use:
 //
-//   INFRAME_SIMD=scalar|sse2|avx2|neon   overrides auto-detection (a level
-//                                        the host cannot run clamps down
-//                                        to the best supported one)
+//   INFRAME_SIMD=scalar|avx2|neon   overrides auto-detection (a level the
+//                                   host cannot run falls back to the
+//                                   best supported one)
 //
 // Determinism contract: every vector kernel is bit-identical to the
-// scalar reference for finite inputs (integer kernels exactly; float
-// kernels because they are elementwise or replicate the reference's fixed
-// accumulation shape — see kernel_list.def). Decoded payload bits are
+// scalar reference for finite inputs, because every kernel is elementwise
+// or replicates the reference's fixed accumulation shape (see
+// kernel_list.def). Decoded payload bits are
 // therefore identical at every SIMD level, which
 // tests/core/test_parallel_determinism.cpp pins end to end and
 // tests/simd/test_kernel_parity.cpp pins kernel by kernel with a seeded
@@ -28,7 +29,7 @@
 
 namespace inframe::simd {
 
-enum class Level : int { scalar = 0, sse2 = 1, avx2 = 2, neon = 3 };
+enum class Level : int { scalar = 0, avx2 = 1, neon = 2 };
 
 const char* to_string(Level level);
 
@@ -60,7 +61,7 @@ const Kernels& kernels_for(Level level);
 // previous level. Not safe to call concurrently with running kernels.
 Level set_active_level(Level level);
 
-// Parses "scalar" | "sse2" | "avx2" | "neon" (case-insensitive); throws
+// Parses "scalar" | "avx2" | "neon" (case-insensitive); throws
 // Contract_violation on anything else.
 Level level_from_name(const std::string& name);
 

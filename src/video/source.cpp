@@ -315,6 +315,9 @@ Cached_video::Cached_video(std::shared_ptr<const Video_source> inner, std::size_
 
 img::Imagef Cached_video::frame(std::int64_t index) const
 {
+    // The render runs under the lock too, so readers that miss on the same
+    // frame render it once.
+    const std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& entry : cache_) {
         if (entry.index == index) return entry.frame;
     }

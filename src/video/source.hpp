@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 namespace inframe::video {
@@ -159,7 +160,8 @@ private:
 
 // Memoizes the most recent frames of a wrapped source. The encoder asks for
 // each video frame refresh_rate/video_fps times in a row; generators are
-// expensive enough that caching matters.
+// expensive enough that caching matters. Safe to share across threads:
+// lookups and fills are serialized by a mutex.
 class Cached_video final : public Video_source {
 public:
     explicit Cached_video(std::shared_ptr<const Video_source> inner, std::size_t capacity = 4);
@@ -177,6 +179,7 @@ private:
     };
 
     std::shared_ptr<const Video_source> inner_;
+    mutable std::mutex mutex_; // guards cache_ and next_slot_
     mutable std::vector<Entry> cache_;
     mutable std::size_t next_slot_ = 0;
 };

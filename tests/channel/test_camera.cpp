@@ -110,11 +110,14 @@ TEST(CameraOptics, ParameterValidation)
 
     const double nan = std::numeric_limits<double>::quiet_NaN();
     const double inf = std::numeric_limits<double>::infinity();
-    for (const double sigma : {-0.5, nan, inf}) {
+    for (const double sigma : {-0.5, nan, inf, 1e9, 1e300}) {
         params = clean_camera(32, 18);
         params.optical_blur_sigma = sigma;
         EXPECT_THROW(Camera_optics(params, 64, 36), Contract_violation) << sigma;
     }
+    params = clean_camera(32, 18);
+    params.optical_blur_sigma = 32.0; // the bound: max(sensor_width, sensor_height)
+    EXPECT_NO_THROW(Camera_optics(params, 64, 36));
     for (const double offset : {nan, inf, -inf}) {
         params = clean_camera(32, 18);
         params.offset_x_px = offset;

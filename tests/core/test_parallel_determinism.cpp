@@ -178,11 +178,11 @@ void expect_identical_results(const Link_experiment_result& a, const Link_experi
 TEST(ParallelDeterminism, NoiseLevelDecodeIsThreadCountInvariant)
 {
     auto config = noisy_rig(Detector::noise_level);
-    config.threads = 1;
+    config.inframe.threads = 1;
     const auto serial = run_link_experiment(config);
     EXPECT_GT(serial.data_frames, 0);
     for (const int threads : thread_counts) {
-        config.threads = threads;
+        config.inframe.threads = threads;
         expect_identical_results(run_link_experiment(config), serial, threads);
     }
 }
@@ -190,11 +190,11 @@ TEST(ParallelDeterminism, NoiseLevelDecodeIsThreadCountInvariant)
 TEST(ParallelDeterminism, MatchedDecodeIsThreadCountInvariant)
 {
     auto config = noisy_rig(Detector::matched);
-    config.threads = 1;
+    config.inframe.threads = 1;
     const auto serial = run_link_experiment(config);
     EXPECT_GT(serial.data_frames, 0);
     for (const int threads : thread_counts) {
-        config.threads = threads;
+        config.inframe.threads = threads;
         expect_identical_results(run_link_experiment(config), serial, threads);
     }
 }
@@ -202,9 +202,9 @@ TEST(ParallelDeterminism, MatchedDecodeIsThreadCountInvariant)
 TEST(ParallelDeterminism, ThreadsZeroMeansHardwareConcurrency)
 {
     auto config = noisy_rig(Detector::noise_level);
-    config.threads = 1;
+    config.inframe.threads = 1;
     const auto serial = run_link_experiment(config);
-    config.threads = 0; // hardware concurrency — still identical
+    config.inframe.threads = 0; // hardware concurrency — still identical
     expect_identical_results(run_link_experiment(config), serial, 0);
 }
 
@@ -231,7 +231,7 @@ TEST(ParallelDeterminism, DecodeIsSimdLevelInvariant)
 {
     auto config = noisy_rig(Detector::noise_level);
 
-    config.threads = 1;
+    config.inframe.threads = 1;
     config.frames_in_flight = 1;
     Link_experiment_result scalar_result;
     {
@@ -244,7 +244,7 @@ TEST(ParallelDeterminism, DecodeIsSimdLevelInvariant)
         const Scoped_simd_level pin(level);
         for (const int threads : {1, 4}) {
             for (const int frames_in_flight : {1, 4}) {
-                config.threads = threads;
+                config.inframe.threads = threads;
                 config.frames_in_flight = frames_in_flight;
                 const auto result = run_link_experiment(config);
                 SCOPED_TRACE(std::string("level=") + simd::to_string(level)

@@ -352,7 +352,7 @@ core::Link_experiment_config noisy_rig(int threads, int frames_in_flight)
     config.camera.quantize = true;
     config.detector = core::Detector::matched;
     config.duration_s = 0.4;
-    config.threads = threads;
+    config.inframe.threads = threads;
     config.frames_in_flight = frames_in_flight;
     return config;
 }
@@ -399,7 +399,7 @@ TEST(Pipeline, FlickerExperimentBitIdenticalAcrossFif)
     config.inframe.geometry = coding::fitted_geometry(width, height, 2);
     config.observers = 3;
     config.duration_s = 0.8;
-    config.threads = 1;
+    config.inframe.threads = 1;
 
     config.frames_in_flight = 1;
     const auto serial = core::run_flicker_experiment(config);

@@ -115,14 +115,23 @@ TEST(Image, U8FloatRoundTrip)
 
 TEST(Image, ToU8ClampsAndRounds)
 {
-    Imagef image(3, 1);
+    Imagef image(7, 1);
     image(0, 0) = -10.0f;
     image(1, 0) = 300.0f;
     image(2, 0) = 127.6f;
+    // Exact .5 ties round away from zero; just below a tie rounds down.
+    image(3, 0) = 0.5f;
+    image(4, 0) = 127.5f;
+    image(5, 0) = 254.5f;
+    image(6, 0) = 254.49998f;
     const Image8 quantized = to_u8(image);
     EXPECT_EQ(quantized(0, 0), 0);
     EXPECT_EQ(quantized(1, 0), 255);
     EXPECT_EQ(quantized(2, 0), 128);
+    EXPECT_EQ(quantized(3, 0), 1);
+    EXPECT_EQ(quantized(4, 0), 128);
+    EXPECT_EQ(quantized(5, 0), 255);
+    EXPECT_EQ(quantized(6, 0), 254);
 }
 
 TEST(Image, ToGrayUsesRec601Weights)

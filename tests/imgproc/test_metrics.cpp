@@ -1,7 +1,5 @@
 #include "imgproc/metrics.hpp"
 
-#include "imgproc/draw.hpp"
-#include "imgproc/image_ops.hpp"
 #include "util/contract.hpp"
 #include "util/prng.hpp"
 
@@ -67,45 +65,6 @@ TEST(Metrics, PsnrOrdersDegradations)
     light.transform([&](float v) { return v + 2.0f; });
     heavy.transform([&](float v) { return v + 20.0f; });
     EXPECT_GT(psnr(base, light), psnr(base, heavy));
-}
-
-TEST(Metrics, SsimIdenticalIsOne)
-{
-    Prng prng(32);
-    Imagef a(32, 32);
-    for (auto& v : a.values()) v = static_cast<float>(prng.next_double(0, 255));
-    EXPECT_NEAR(ssim(a, a), 1.0, 1e-9);
-}
-
-TEST(Metrics, SsimDropsWithNoise)
-{
-    Prng prng(33);
-    Imagef a(64, 64);
-    for (auto& v : a.values()) v = static_cast<float>(prng.next_double(64, 192));
-    Imagef noisy = a;
-    for (auto& v : noisy.values()) v += static_cast<float>(prng.next_gaussian(0.0, 25.0));
-    const double score = ssim(a, noisy);
-    EXPECT_LT(score, 0.95);
-    EXPECT_GT(score, 0.0);
-}
-
-TEST(Metrics, SsimDetectsStructuralChange)
-{
-    const Imagef board = checkerboard(64, 64, 4, 50.0f, 200.0f);
-    const Imagef flat(64, 64, 1, 125.0f); // same mean, no structure
-    EXPECT_LT(ssim(board, flat), 0.3);
-}
-
-TEST(Metrics, SsimTooSmallImageThrows)
-{
-    const Imagef a(4, 4, 1, 10.0f);
-    EXPECT_THROW(ssim(a, a), Contract_violation);
-}
-
-TEST(Metrics, SsimAcceptsRgb)
-{
-    Imagef rgb(16, 16, 3, 100.0f);
-    EXPECT_NEAR(ssim(rgb, rgb), 1.0, 1e-9);
 }
 
 } // namespace

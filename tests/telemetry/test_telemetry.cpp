@@ -271,7 +271,7 @@ core::Link_experiment_config traced_rig(int threads, int frames_in_flight)
     config.camera.quantize = true;
     config.detector = core::Detector::matched;
     config.duration_s = 0.3;
-    config.threads = threads;
+    config.inframe.threads = threads;
     config.frames_in_flight = frames_in_flight;
     return config;
 }

@@ -8,7 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 namespace {
 
@@ -150,6 +154,34 @@ TEST(CachedVideo, ReturnsSameFrames)
     EXPECT_DOUBLE_EQ(inframe::img::mae(cached.frame(7), inner->frame(7)), 0.0);
     EXPECT_EQ(cached.width(), 48);
     EXPECT_EQ(cached.name(), "sunrise");
+}
+
+TEST(CachedVideo, ConcurrentReadersSeeSourceFrames)
+{
+    // Two readers share one two-slot cache and request interleaved indices
+    // (one the even frames, the other the odd ones), so every call races a
+    // lookup against the other thread's fill and eviction.
+    auto inner = std::make_shared<Sunrise_video>(48, 32, 30.0, 5);
+    const auto cached = std::make_shared<const Cached_video>(inner, 2);
+    constexpr int frames = 16;
+    std::vector<Imagef> expected;
+    for (int i = 0; i < frames; ++i) expected.push_back(inner->frame(i));
+
+    std::atomic<int> mismatches{0};
+    auto reader = [&](int first) {
+        for (int round = 0; round < 4; ++round) {
+            for (int i = first; i < frames; i += 2) {
+                const Imagef got = cached->frame(i);
+                const Imagef& want = expected[static_cast<std::size_t>(i)];
+                if (!std::ranges::equal(got.values(), want.values())) ++mismatches;
+            }
+        }
+    };
+    std::thread even(reader, 0);
+    std::thread odd(reader, 1);
+    even.join();
+    odd.join();
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(CachedVideo, Validation)
