@@ -3,6 +3,7 @@
 #include "imgproc/image_ops.hpp"
 #include "imgproc/pool.hpp"
 #include "util/contract.hpp"
+#include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -128,44 +129,6 @@ Taps axis_taps(int n_in, int n_out, double offset, double sigma)
     return taps;
 }
 
-// Applies taps_y down the columns and taps_x along the rows. Each output
-// row first accumulates its vertical taps over whole input rows, then runs
-// the horizontal taps along that accumulated row; every sum runs in
-// double, in tap order, so the result does not depend on the thread count.
-img::Imagef apply_taps(const img::Imagef& src, const Taps& taps_x, const Taps& taps_y)
-{
-    const int ch = src.channels();
-    img::Imagef sensor = img::Frame_pool::instance().acquire(
-        static_cast<int>(row_count(taps_x)), static_cast<int>(row_count(taps_y)), ch);
-    const auto row_values = static_cast<std::size_t>(src.width()) * ch;
-    util::parallel_for(0, sensor.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
-        std::vector<double> column_sums(row_values);
-        for (std::int64_t y = y0; y < y1; ++y) {
-            const auto r = static_cast<std::size_t>(y);
-            std::fill(column_sums.begin(), column_sums.end(), 0.0);
-            for (std::size_t k = 0; k < tap_count(taps_y, r); ++k) {
-                const double w = taps_y.weights[taps_y.begin[r] + k];
-                const float* in = src.row(taps_y.first[r] + static_cast<int>(k)).data();
-                for (std::size_t i = 0; i < row_values; ++i) column_sums[i] += w * in[i];
-            }
-            float* out = sensor.row(static_cast<int>(y)).data();
-            for (std::size_t x = 0; x < row_count(taps_x); ++x) {
-                const double* w = taps_x.weights.data() + taps_x.begin[x];
-                const double* in =
-                    column_sums.data() + static_cast<std::ptrdiff_t>(taps_x.first[x]) * ch;
-                for (int c = 0; c < ch; ++c) {
-                    double acc = 0.0;
-                    for (std::size_t k = 0; k < tap_count(taps_x, x); ++k) {
-                        acc += w[k] * in[k * ch + c];
-                    }
-                    out[x * ch + c] = static_cast<float>(acc);
-                }
-            }
-        }
-    });
-    return sensor;
-}
-
 } // namespace
 
 Camera_optics::Camera_optics(const Camera_params& params, int screen_width, int screen_height)
@@ -205,17 +168,70 @@ Camera_optics::Camera_optics(const Camera_params& params, int screen_width, int 
                         warp ? 0.0 : params.offset_y_px, params.optical_blur_sigma);
 }
 
-img::Imagef Camera_optics::to_sensor(const img::Imagef& emitted) const
+img::Imagef Camera_optics::perspective_warp(const img::Imagef& emitted) const
 {
     util::expects(emitted.width() == screen_width_ && emitted.height() == screen_height_,
                   "emitted frame does not match the configured screen size");
-    if (!params_.sensor_to_screen) return apply_taps(emitted, taps_x_, taps_y_);
+    if (!params_.sensor_to_screen) return {};
     // Perspective path: each sensor pixel samples the screen through the
     // viewing homography (bilinear; the optical blur stands in for
     // photosite integration).
-    img::Imagef warped = img::warp_perspective(emitted, *params_.sensor_to_screen,
-                                               params_.sensor_width, params_.sensor_height);
-    img::Imagef sensor = apply_taps(warped, taps_x_, taps_y_);
+    return img::warp_perspective(emitted, *params_.sensor_to_screen, params_.sensor_width,
+                                 params_.sensor_height);
+}
+
+img::Imagef Camera_optics::optics_input(img::Imagef emitted) const
+{
+    img::Imagef warped = perspective_warp(emitted);
+    if (warped.empty()) return emitted;
+    img::Frame_pool::instance().recycle(std::move(emitted));
+    return warped;
+}
+
+void Camera_optics::project_row(const img::Imagef& input, int y, std::vector<double>& column_sums,
+                                std::span<float> out) const
+{
+    // Vertical taps first, over whole input rows, then the horizontal taps
+    // along that accumulated row; every sum runs in double, in tap order, so
+    // a row's value depends on nothing but the input and y.
+    const bool warp = params_.sensor_to_screen.has_value();
+    util::expects(input.width() == (warp ? params_.sensor_width : screen_width_)
+                      && input.height() == (warp ? params_.sensor_height : screen_height_)
+                      && y >= 0 && y < params_.sensor_height
+                      && out.size() == static_cast<std::size_t>(params_.sensor_width)
+                                           * static_cast<std::size_t>(input.channels()),
+                  "project_row: input, row or output does not match the optics");
+    const int ch = input.channels();
+    const auto r = static_cast<std::size_t>(y);
+    column_sums.assign(static_cast<std::size_t>(input.width()) * ch, 0.0);
+    for (std::size_t k = 0; k < tap_count(taps_y_, r); ++k) {
+        const double w = taps_y_.weights[taps_y_.begin[r] + k];
+        const float* in = input.row(taps_y_.first[r] + static_cast<int>(k)).data();
+        for (std::size_t i = 0; i < column_sums.size(); ++i) column_sums[i] += w * in[i];
+    }
+    for (std::size_t x = 0; x < row_count(taps_x_); ++x) {
+        const double* w = taps_x_.weights.data() + taps_x_.begin[x];
+        const double* in = column_sums.data() + static_cast<std::ptrdiff_t>(taps_x_.first[x]) * ch;
+        for (int c = 0; c < ch; ++c) {
+            double acc = 0.0;
+            for (std::size_t k = 0; k < tap_count(taps_x_, x); ++k) acc += w[k] * in[k * ch + c];
+            out[x * ch + c] = static_cast<float>(acc);
+        }
+    }
+}
+
+img::Imagef Camera_optics::to_sensor(const img::Imagef& emitted) const
+{
+    img::Imagef warped = perspective_warp(emitted);
+    const img::Imagef& input = warped.empty() ? emitted : warped;
+    img::Imagef sensor = img::Frame_pool::instance().acquire(
+        params_.sensor_width, params_.sensor_height, input.channels());
+    util::parallel_for(0, sensor.height(), row_grain, [&](std::int64_t y0, std::int64_t y1) {
+        std::vector<double> column_sums;
+        for (std::int64_t y = y0; y < y1; ++y) {
+            project_row(input, static_cast<int>(y), column_sums, sensor.row(static_cast<int>(y)));
+        }
+    });
     img::Frame_pool::instance().recycle(std::move(warped));
     return sensor;
 }
@@ -270,11 +286,6 @@ std::uint64_t mix64(std::uint64_t x)
 }
 
 } // namespace
-
-void apply_sensor_noise(img::Imagef& integrated, const Camera_params& params, util::Prng& prng)
-{
-    sensor_electronics_span(integrated.values(), params, prng);
-}
 
 std::uint64_t row_noise_seed(std::uint64_t seed, std::int64_t capture_index, int row)
 {

@@ -6,20 +6,24 @@
 //  - Camera_optics: time-invariant geometry and optics. Maps an emitted
 //    screen light field to sensor-plane irradiance: photosite area
 //    integration (screen -> sensor resample), sub-pixel misalignment and
-//    lens blur, composed into one separable linear operator.
+//    lens blur, composed into one separable linear operator. The operator
+//    runs one sensor row at a time (project_row): a row is a pure function
+//    of the optics input and its index, so a caller can project just the
+//    rows it needs.
 //  - Exposure/readout (driven by Screen_camera_link): each sensor ROW
 //    integrates the light field over its own exposure window — the rolling
-//    shutter the paper names as a key channel impairment — then shot
-//    noise, read noise, gain and 8-bit quantization are applied.
+//    shutter the paper names as a key channel impairment — projecting only
+//    the display frames that window overlaps; then shot noise, read noise,
+//    gain and 8-bit quantization are applied.
 #pragma once
 
 #include "imgproc/image.hpp"
 #include "imgproc/warp.hpp"
-#include "util/prng.hpp"
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace inframe::channel {
@@ -87,8 +91,21 @@ class Camera_optics {
 public:
     Camera_optics(const Camera_params& params, int screen_width, int screen_height);
 
-    // Projects one emitted screen frame onto the sensor plane.
+    // Projects one emitted screen frame onto the sensor plane (every row
+    // through project_row).
     img::Imagef to_sensor(const img::Imagef& emitted) const;
+
+    // The image project_row reads for an emitted frame: the frame itself,
+    // or on the sensor_to_screen path its perspective warp onto the sensor
+    // grid (the emitted frame's storage then goes back to the frame pool).
+    // Throws Contract_violation unless the frame has the screen size.
+    img::Imagef optics_input(img::Imagef emitted) const;
+
+    // Sensor row y of an optics input: sensor_width * channels floats into
+    // `out`. column_sums is caller-owned scratch (resized here), so a loop
+    // over rows allocates once.
+    void project_row(const img::Imagef& input, int y, std::vector<double>& column_sums,
+                     std::span<float> out) const;
 
     // One axis of the optics operator as a banded matrix in compressed-row
     // form: output i = sum over k < begin[i + 1] - begin[i] of
@@ -101,6 +118,10 @@ public:
     };
 
 private:
+    // Checks the screen size; the perspective warp on the sensor_to_screen
+    // path, an empty image otherwise.
+    img::Imagef perspective_warp(const img::Imagef& emitted) const;
+
     Camera_params params_;
     int screen_width_;
     int screen_height_;
@@ -110,18 +131,13 @@ private:
     Taps taps_y_;
 };
 
-// Applies the sensor electronics to an integrated irradiance image:
-// shot noise, read noise, gain, clamp, optional quantization. Mutates the
-// image in place; prng supplies the noise stream.
-void apply_sensor_noise(img::Imagef& integrated, const Camera_params& params,
-                        util::Prng& prng);
-
-// Per-row variant used by the parallel exposure pipeline: row r of capture
-// k draws from an independent PRNG stream seeded from (seed, k, r), so the
-// noise field is a pure function of the capture — identical for every
-// thread count and for out-of-order row processing. This is the seeding
-// contract the determinism tests rely on (DESIGN.md, "Threading model &
-// determinism").
+// Applies the sensor electronics to an integrated irradiance image in
+// place: shot noise, read noise, gain, clamp, optional quantization. Row r
+// of capture k draws from an independent PRNG stream seeded from
+// (seed, k, r), so the noise field is a pure function of the capture —
+// identical for every thread count and for out-of-order row processing.
+// This is the seeding contract the determinism tests rely on (DESIGN.md,
+// "Threading model & determinism").
 void apply_sensor_noise_rows(img::Imagef& integrated, const Camera_params& params,
                              std::int64_t capture_index);
 

@@ -1,9 +1,21 @@
 #include "channel/display.hpp"
 
-#include "imgproc/image_ops.hpp"
+#include "imgproc/pool.hpp"
 #include "util/contract.hpp"
+#include "util/thread_pool.hpp"
+
+#include <algorithm>
+#include <cstdint>
 
 namespace inframe::channel {
+
+namespace {
+
+// Values per parallel chunk (the split never changes the result: every
+// value is computed on its own).
+constexpr std::int64_t value_grain = 1 << 15;
+
+} // namespace
 
 Display_model::Display_model(Display_params params) : params_(params)
 {
@@ -18,30 +30,43 @@ Display_model::Display_model(Display_params params) : params_(params)
 img::Imagef Display_model::emit(const img::Imagef& frame)
 {
     util::expects(!frame.empty(), "display cannot emit an empty frame");
-    img::Imagef target =
-        img::affine(frame, static_cast<float>(params_.brightness),
-                    static_cast<float>(params_.black_level));
-    img::clamp(target, 0.0f, 255.0f);
-
-    if (previous_emitted_ && previous_emitted_->same_shape(target)
-        && params_.response_persistence > 0.0) {
-        const auto persistence = static_cast<float>(params_.response_persistence);
-        auto out = target;
-        auto dst = out.values();
-        const auto prev = previous_emitted_->values();
-        for (std::size_t i = 0; i < dst.size(); ++i) {
-            dst[i] = prev[i] * persistence + dst[i] * (1.0f - persistence);
-        }
-        previous_emitted_ = out;
-        return out;
+    const auto scale = static_cast<float>(params_.brightness);
+    const auto offset = static_cast<float>(params_.black_level);
+    const auto persistence = static_cast<float>(params_.response_persistence);
+    // Panel state is kept only when it can matter; a frame of a new shape
+    // starts without history.
+    const bool persist = params_.response_persistence > 0.0;
+    const bool history = persist && previous_emitted_.same_shape(frame);
+    if (persist && !history) {
+        previous_emitted_ = img::Imagef(frame.width(), frame.height(), frame.channels());
     }
-    previous_emitted_ = target;
-    return target;
+
+    img::Imagef out =
+        img::Frame_pool::instance().acquire(frame.width(), frame.height(), frame.channels());
+    const auto in = frame.values();
+    const auto dst = out.values();
+    const auto state = previous_emitted_.values();
+    // One pass: brightness and black level, clamp to [0, 255] (the
+    // clamp_f32 op order), then the first-order LC response, with the
+    // result also becoming the panel state.
+    util::parallel_for(0, static_cast<std::int64_t>(dst.size()), value_grain,
+                       [&](std::int64_t i0, std::int64_t i1) {
+                           for (auto i = static_cast<std::size_t>(i0);
+                                i < static_cast<std::size_t>(i1); ++i) {
+                               float v = std::min(std::max(in[i] * scale + offset, 0.0f), 255.0f);
+                               if (history) {
+                                   v = state[i] * persistence + v * (1.0f - persistence);
+                               }
+                               dst[i] = v;
+                               if (persist) state[i] = v;
+                           }
+                       });
+    return out;
 }
 
 void Display_model::reset()
 {
-    previous_emitted_.reset();
+    previous_emitted_ = img::Imagef();
 }
 
 } // namespace inframe::channel

@@ -10,8 +10,6 @@
 
 #include "imgproc/image.hpp"
 
-#include <optional>
-
 namespace inframe::channel {
 
 struct Display_params {
@@ -36,7 +34,8 @@ public:
     explicit Display_model(Display_params params);
 
     // Submits the next logical frame (refresh-rate cadence) and returns
-    // the light field emitted during that refresh interval.
+    // the light field emitted during that refresh interval, in a
+    // Frame_pool frame.
     img::Imagef emit(const img::Imagef& frame);
 
     // Duration of one refresh interval in seconds.
@@ -49,7 +48,8 @@ public:
 
 private:
     Display_params params_;
-    std::optional<img::Imagef> previous_emitted_;
+    // Last emitted frame while persistence is on; empty = no history.
+    img::Imagef previous_emitted_;
 };
 
 } // namespace inframe::channel

@@ -39,11 +39,10 @@ std::vector<Capture> Screen_camera_link::push_display_frame(const img::Imagef& f
     const double period = display_.refresh_period();
     const double start_time = static_cast<double>(display_index_) * period;
 
-    Buffered_frame buffered;
-    buffered.sensor_image = optics_.to_sensor(display_.emit(frame));
-    buffered.start_time = start_time;
-    buffered.end_time = start_time + period;
-    buffer_.push_back(std::move(buffered));
+    // Emission chains every frame through the panel's persistence, so it
+    // stays eager; the optics projection waits for an exposure window.
+    buffer_.push_back(Buffered_frame{optics_.optics_input(display_.emit(frame)), start_time,
+                                     start_time + period});
     ++display_index_;
 
     std::vector<Capture> completed;
@@ -81,12 +80,20 @@ Capture Screen_camera_link::assemble_capture()
     const int rows = camera_params_.sensor_height;
     const int cols = camera_params_.sensor_width;
     const double exposure = camera_params_.exposure_s;
-    const int channels = buffer_.empty() ? 1 : buffer_.front().sensor_image.channels();
+    const int channels = buffer_.empty() ? 1 : buffer_.front().optics_input.channels();
+    static const int rows_projected_metric =
+        telemetry::intern_metric("link.rows_projected", telemetry::Metric_kind::counter);
 
     img::Imagef integrated = img::Frame_pool::instance().acquire(cols, rows, channels, 0.0f);
     // Rows integrate independently (each owns its exposure window and its
     // output row), so the rolling-shutter pass parallelizes over row bands.
+    // A row projects only the display frames its window overlaps, one row
+    // of each; the projection is a pure function of (frame, row), so the
+    // capture is the same as projecting every frame in full first.
     util::parallel_for(0, rows, 8, [&](std::int64_t r0, std::int64_t r1) {
+        std::vector<float> projected(static_cast<std::size_t>(cols) * channels);
+        std::vector<double> column_sums;
+        std::uint64_t rows_projected = 0;
         for (std::int64_t rr = r0; rr < r1; ++rr) {
             const int r = static_cast<int>(rr);
             // Row r starts integrating after its share of the readout skew.
@@ -103,12 +110,16 @@ Capture Screen_camera_link::assemble_capture()
                 if (overlap <= 0.0) continue;
                 const auto weight = static_cast<float>(overlap / exposure);
                 covered += overlap;
-                const auto src_row = frame.sensor_image.row(r);
-                for (std::size_t i = 0; i < out_row.size(); ++i) out_row[i] += weight * src_row[i];
+                optics_.project_row(frame.optics_input, r, column_sums, projected);
+                ++rows_projected;
+                for (std::size_t i = 0; i < out_row.size(); ++i) {
+                    out_row[i] += weight * projected[i];
+                }
             }
             util::ensures(covered >= exposure - 1e-9,
                           "capture exposure window not fully covered by buffered frames");
         }
+        telemetry::counter_add(rows_projected_metric, rows_projected);
     });
 
     // Per-row seeded noise streams: the noise field depends only on
@@ -128,10 +139,10 @@ void Screen_camera_link::trim_buffer()
     // contribute again.
     const double next_start =
         camera_params_.phase_offset_s + static_cast<double>(capture_index_) / camera_params_.fps;
+    // The frame's storage is freed, not recycled: optics inputs are
+    // screen-size, and parked in the frame pool they would serve the
+    // sensor-size requests (best fit) and crowd the freelist.
     while (!buffer_.empty() && buffer_.front().end_time <= next_start - 1e-12) {
-        // The projected frame can never contribute again; recycle its
-        // storage for the next sensor projection.
-        img::Frame_pool::instance().recycle(std::move(buffer_.front().sensor_image));
         buffer_.pop_front();
     }
 }

@@ -1,9 +1,12 @@
 // Screen-camera link: composes the display and camera models with the
 // timing math that produces the paper's channel impairments.
 //
-// Display frames are pushed at the refresh cadence; the link projects each
-// onto the sensor plane and integrates per-row exposure windows against the
-// piecewise-constant light field. Because rows start their exposure at
+// Display frames are pushed at the refresh cadence; the link emits each and
+// buffers the optics input (Camera_optics::optics_input). When a capture
+// completes, every sensor row integrates its exposure window against the
+// piecewise-constant light field, projecting a row of just the buffered
+// frames that window overlaps; frames no window overlaps are dropped
+// without ever being projected. Because rows start their exposure at
 // staggered times (rolling shutter), a single capture can mix adjacent
 // display frames differently per row — exactly the distortion the InFrame
 // decoder must tolerate (3.3). Frame-rate mismatch and phase drift come
@@ -43,6 +46,7 @@ public:
     // Pushes the next logical display frame (refresh cadence). Returns the
     // captures completed by the end of this refresh interval (usually zero
     // or one). Captures the impairment chain drops never appear here.
+    // Throws Contract_violation unless the frame has the screen size.
     std::vector<Capture> push_display_frame(const img::Imagef& frame);
 
     // Number of display frames pushed so far.
@@ -59,7 +63,8 @@ public:
 
 private:
     struct Buffered_frame {
-        img::Imagef sensor_image;
+        // Emitted frame, or its perspective warp (Camera_optics::optics_input).
+        img::Imagef optics_input;
         double start_time;
         double end_time;
     };

@@ -3,6 +3,7 @@
 #include "imgproc/draw.hpp"
 #include "imgproc/image_ops.hpp"
 #include "util/contract.hpp"
+#include "util/prng.hpp"
 #include "util/stats.hpp"
 
 #include <gtest/gtest.h>
@@ -452,8 +453,7 @@ TEST(SensorNoise, CleanConfigurationIsIdentity)
 {
     auto params = clean_camera(8, 8);
     Imagef image(8, 8, 1, 77.25f);
-    Prng prng(1);
-    apply_sensor_noise(image, params, prng);
+    apply_sensor_noise_rows(image, params, 1);
     for (const float v : image.values()) EXPECT_FLOAT_EQ(v, 77.25f);
 }
 
@@ -462,8 +462,7 @@ TEST(SensorNoise, QuantizationRounds)
     auto params = clean_camera(8, 8);
     params.quantize = true;
     Imagef image(8, 8, 1, 77.25f);
-    Prng prng(1);
-    apply_sensor_noise(image, params, prng);
+    apply_sensor_noise_rows(image, params, 1);
     for (const float v : image.values()) EXPECT_FLOAT_EQ(v, 77.0f);
 }
 
@@ -473,8 +472,7 @@ TEST(SensorNoise, ReadNoiseHasConfiguredSpread)
     params.read_noise_sigma = 3.0;
     params.quantize = false;
     Imagef image(64, 64, 1, 128.0f);
-    Prng prng(2);
-    apply_sensor_noise(image, params, prng);
+    apply_sensor_noise_rows(image, params, 2);
     inframe::util::Running_stats stats;
     for (const float v : image.values()) stats.add(v);
     EXPECT_NEAR(stats.mean(), 128.0, 0.5);
@@ -488,10 +486,8 @@ TEST(SensorNoise, ShotNoiseGrowsWithLevel)
     params.quantize = false;
     Imagef dim(64, 64, 1, 20.0f);
     Imagef bright(64, 64, 1, 220.0f);
-    Prng prng_a(3);
-    Prng prng_b(3);
-    apply_sensor_noise(dim, params, prng_a);
-    apply_sensor_noise(bright, params, prng_b);
+    apply_sensor_noise_rows(dim, params, 3);
+    apply_sensor_noise_rows(bright, params, 3);
     inframe::util::Running_stats s_dim;
     inframe::util::Running_stats s_bright;
     for (const float v : dim.values()) s_dim.add(v);
@@ -549,8 +545,7 @@ TEST(SensorNoise, GainScalesAndClamps)
     auto params = clean_camera(4, 4);
     params.gain = 2.0;
     Imagef image(4, 4, 1, 150.0f);
-    Prng prng(4);
-    apply_sensor_noise(image, params, prng);
+    apply_sensor_noise_rows(image, params, 4);
     for (const float v : image.values()) EXPECT_FLOAT_EQ(v, 255.0f);
 }
 
