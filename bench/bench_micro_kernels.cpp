@@ -252,12 +252,10 @@ void run_simd_speedup_table(const bench::Args& args)
     std::vector<float> fb(n);
     std::vector<float> fout(n);
     std::vector<double> dacc(n);
-    std::vector<std::uint32_t> mask(n);
     for (int i = 0; i < n; ++i) {
         fa[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
         fb[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
         dacc[static_cast<std::size_t>(i)] = prng.next_double(0, 1.0e6);
-        mask[static_cast<std::size_t>(i)] = (i & 1) ? ~std::uint32_t{0} : 0u;
     }
 
     // box_blur_h: 8 interleaved-style streams over a 1-channel row.
@@ -279,9 +277,6 @@ void run_simd_speedup_table(const bench::Args& args)
         std::function<void(const Kernels&)> call;
     };
     const std::vector<Kernel_case> cases = {
-        {"masked_add_f32", [&](const Kernels& k) {
-             k.masked_add_f32(fout.data(), mask.data(), n, 1.5f);
-         }},
         {"absdiff_f32",
          [&](const Kernels& k) { k.absdiff_f32(fa.data(), fb.data(), fout.data(), n); }},
         {"row_sum_f64",

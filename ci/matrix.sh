@@ -9,12 +9,14 @@
 #   ci/matrix.sh release tsan    # just these legs
 #
 # Legs:
-#   release       Release build, full ctest suite at the auto-detected
-#                 vector level, then the tier-1 suites again with
-#                 INFRAME_SIMD=scalar — the scalar dispatch path must stay
-#                 green, not just parity-tested (a kernel whose vector
-#                 path works but whose scalar path rotted would otherwise
-#                 only fail on non-SIMD hosts).
+#   release       Release build with -DINFRAME_WERROR=ON (src, tests,
+#                 benches and examples must build warning-free), full
+#                 ctest suite at the auto-detected vector level, then the
+#                 tier-1 suites again with INFRAME_SIMD=scalar — the
+#                 scalar dispatch path must stay green, not just
+#                 parity-tested (a kernel whose vector path works but
+#                 whose scalar path rotted would otherwise only fail on
+#                 non-SIMD hosts).
 #   tsan          -DINFRAME_SANITIZE=thread,    unit+pipeline+simd labels
 #   asan          -DINFRAME_SANITIZE=address,   unit+pipeline+simd labels
 #   ubsan         -DINFRAME_SANITIZE=undefined, unit+pipeline+simd labels
@@ -41,8 +43,10 @@ run_leg() {
     local sanitize="$2"
     local build="build-matrix/${name}"
     echo "=== leg: ${name} (sanitize='${sanitize}') ==="
+    local werror=OFF
+    if [ "${name}" = release ]; then werror=ON; fi
     cmake -B "${build}" -S . -DCMAKE_BUILD_TYPE=Release \
-          -DINFRAME_SANITIZE="${sanitize}" >/dev/null
+          -DINFRAME_SANITIZE="${sanitize}" -DINFRAME_WERROR="${werror}" >/dev/null
     cmake --build "${build}" -j "${jobs}"
     if [ "${name}" = release ]; then
         ctest --test-dir "${build}" --output-on-failure -j "${jobs}"

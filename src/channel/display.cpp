@@ -47,7 +47,7 @@ img::Imagef Display_model::emit(const img::Imagef& frame)
     const auto dst = out.values();
     const auto state = previous_emitted_.values();
     // One pass: brightness and black level, clamp to [0, 255] (the
-    // clamp_f32 op order), then the first-order LC response, with the
+    // img::clamp op order), then the first-order LC response, with the
     // result also becoming the panel state.
     util::parallel_for(0, static_cast<std::int64_t>(dst.size()), value_grain,
                        [&](std::int64_t i0, std::int64_t i1) {

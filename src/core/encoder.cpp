@@ -1,22 +1,135 @@
 #include "core/encoder.hpp"
 
 #include "coding/parity.hpp"
-#include "imgproc/image_ops.hpp"
 #include "imgproc/pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/contract.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace inframe::core {
+
+namespace {
+
+// The one embed pass: V + D, where D holds each Block's chessboard at its
+// signed amplitude (0: the Block does not embed). Raised Pixels are those
+// with i + j odd (paper 3.3); colour video gets the same amplitude on
+// every channel, shifting luminance without altering chromaticity.
+//
+// With the local cap, a Block's amplitude is limited by the headroom of
+// the video under it, min(255 - max, min), so V + D and V - D both stay
+// in [0, 255] and the pair still averages to V (paper 3.2). The cap reads
+// only `video`, so the pair the encoder shows on two refreshes of the same
+// video frame shares it.
+//
+// Rows of Blocks are independent, so the pass runs in parallel over them;
+// the first and last also write the margins above and below the code
+// area. Each output row is written once: the video value plus D, clamped
+// as img::clamp does, min(max(v, 0), 255). Where D is empty it holds
+// -0.0f, the one float whose addition is the identity for every value
+// (+0.0f would turn a -0.0f pixel into +0.0f), so the row is a single
+// branch-free loop that matches adding on raised Pixels only.
+img::Imagef embed(const Inframe_config& config, const img::Imagef& video,
+                  std::span<const float> amplitude)
+{
+    const auto& g = config.geometry;
+    const int channels = video.channels();
+    const auto row_values = static_cast<std::size_t>(g.screen_width * channels);
+    const int block_px = g.block_px();
+    const auto blocks_x = static_cast<std::size_t>(g.blocks_x);
+    // Row-value offset of Block column b (b == blocks_x: the code area's end).
+    const auto block_begin = [&](std::size_t b) {
+        return static_cast<std::size_t>((g.origin_x() + static_cast<int>(b) * block_px)
+                                         * channels);
+    };
+
+    img::Imagef out =
+        img::Frame_pool::instance().acquire(g.screen_width, g.screen_height, channels);
+    util::parallel_for(0, g.blocks_y, 1, [&](std::int64_t by0, std::int64_t by1) {
+        // Per-column extremes over one Block row, in row-value layout.
+        std::vector<float> column_lo(row_values);
+        std::vector<float> column_hi(row_values);
+        // D on the Block row's even and odd Pixel rows, plus an empty row
+        // for the margins: the amplitude each row value gets.
+        std::vector<float> d(3 * row_values);
+        for (std::int64_t by = by0; by < by1; ++by) {
+            const auto a = amplitude.subspan(static_cast<std::size_t>(by) * blocks_x, blocks_x);
+            const int y0 = g.origin_y() + static_cast<int>(by) * block_px;
+            const int y1 = y0 + block_px;
+
+            if (config.local_amplitude_cap) {
+                // Column extremes over each run of embedding Blocks
+                // (elementwise, so it vectorizes), then one fold per Block.
+                // min and max are exact and never pick a NaN, so the order
+                // cannot change a Block's extremes beyond the sign of a
+                // zero, which caps to the same amplitude.
+                std::fill(column_lo.begin(), column_lo.end(), 255.0f);
+                std::fill(column_hi.begin(), column_hi.end(), 0.0f);
+                for (int y = y0; y < y1; ++y) {
+                    const float* in = video.row(y).data();
+                    for (std::size_t b = 0; b < blocks_x;) {
+                        std::size_t e = b;
+                        while (e < blocks_x && a[e] != 0.0f) ++e;
+                        for (std::size_t i = block_begin(b); i < block_begin(e); ++i) {
+                            column_lo[i] = std::min(column_lo[i], in[i]);
+                            column_hi[i] = std::max(column_hi[i], in[i]);
+                        }
+                        b = e + 1;
+                    }
+                }
+            }
+
+            std::fill(d.begin(), d.end(), -0.0f);
+            for (std::size_t b = 0; b < blocks_x; ++b) {
+                if (a[b] == 0.0f) continue;
+                float amp = a[b];
+                if (config.local_amplitude_cap) {
+                    float lo = 255.0f;
+                    float hi = 0.0f;
+                    for (std::size_t i = block_begin(b); i < block_begin(b + 1); ++i) {
+                        lo = std::min(lo, column_lo[i]);
+                        hi = std::max(hi, column_hi[i]);
+                    }
+                    const float headroom = std::min(255.0f - hi, lo);
+                    const float magnitude =
+                        std::clamp(std::fabs(amp), 0.0f, std::max(headroom, 0.0f));
+                    amp = amp < 0.0f ? -magnitude : magnitude;
+                }
+                if (amp == 0.0f) continue;
+                for (int px = 0; px < g.block_pixels; ++px) {
+                    // Pixel (px, py) is raised when px + py is odd.
+                    float* row = d.data() + static_cast<std::size_t>(1 - px % 2) * row_values;
+                    const auto begin = block_begin(b)
+                                       + static_cast<std::size_t>(px * g.pixel_size * channels);
+                    std::fill_n(row + begin, g.pixel_size * channels, amp);
+                }
+            }
+
+            const int top = by == 0 ? 0 : y0;
+            const int bottom = by == g.blocks_y - 1 ? g.screen_height : y1;
+            for (int y = top; y < bottom; ++y) {
+                const bool coded = y >= y0 && y < y1;
+                const std::size_t phase = coded ? ((y - y0) / g.pixel_size) % 2 : 2;
+                const float* dy = d.data() + phase * row_values;
+                const float* in = video.row(y).data();
+                float* o = out.row(y).data();
+                for (std::size_t i = 0; i < row_values; ++i) {
+                    o[i] = std::min(std::max(in[i] + dy[i], 0.0f), 255.0f);
+                }
+            }
+        }
+    });
+    return out;
+}
+
+} // namespace
 
 Inframe_encoder::Inframe_encoder(Inframe_config config) : config_(std::move(config))
 {
     config_.validate();
     idle_bits_.assign(static_cast<std::size_t>(config_.geometry.block_count()), 0);
-    block_min_.assign(static_cast<std::size_t>(config_.geometry.block_count()), 0.0f);
-    block_max_.assign(static_cast<std::size_t>(config_.geometry.block_count()), 255.0f);
 }
 
 void Inframe_encoder::queue_payload(std::span<const std::uint8_t> payload_bits)
@@ -36,12 +149,14 @@ const std::vector<std::uint8_t>& Inframe_encoder::bits_for(std::int64_t data_ind
     while (static_cast<std::int64_t>(history_.size()) <= data_index) {
         const bool idle_now =
             paused_ && static_cast<std::int64_t>(history_.size()) >= pause_boundary_;
-        if (idle_now || queue_.empty()) {
+        const bool filler = idle_now || queue_.empty();
+        if (filler) {
             history_.push_back(idle_bits_);
         } else {
             history_.push_back(std::move(queue_.front()));
             queue_.pop_front();
         }
+        filler_.push_back(filler);
     }
     return history_[static_cast<std::size_t>(data_index)];
 }
@@ -58,9 +173,9 @@ void Inframe_encoder::pause()
     // Return the peeked-ahead (not yet aired) frames to the queue so
     // resume() continues without losing data.
     while (static_cast<std::int64_t>(history_.size()) > current + 1) {
-        auto bits = std::move(history_.back());
+        if (!filler_.back()) queue_.push_front(std::move(history_.back()));
         history_.pop_back();
-        if (bits != idle_bits_) queue_.push_front(std::move(bits));
+        filler_.pop_back();
     }
     pause_boundary_ = static_cast<std::int64_t>(history_.size());
 }
@@ -97,35 +212,6 @@ float Inframe_encoder::envelope_gain(std::uint8_t current_bit, std::uint8_t next
                                           : dsp::transition_gain_01(config_.transition, t));
 }
 
-void Inframe_encoder::refresh_video_stats(const img::Imagef& video_frame)
-{
-    const auto& g = config_.geometry;
-    // Block rows are independent (each writes its own block_min_/block_max_
-    // slots), so the min/max scan parallelizes over rows of blocks.
-    util::parallel_for(0, g.blocks_y, 1, [&](std::int64_t by0, std::int64_t by1) {
-        for (std::int64_t by = by0; by < by1; ++by) {
-            for (int bx = 0; bx < g.blocks_x; ++bx) {
-                const auto rect = g.block_rect(bx, static_cast<int>(by));
-                float lo = 255.0f;
-                float hi = 0.0f;
-                for (int y = rect.y0; y < rect.y0 + rect.size; ++y) {
-                    for (int x = rect.x0; x < rect.x0 + rect.size; ++x) {
-                        for (int c = 0; c < video_frame.channels(); ++c) {
-                            const float v = video_frame(x, y, c);
-                            lo = std::min(lo, v);
-                            hi = std::max(hi, v);
-                        }
-                    }
-                }
-                const auto index =
-                    static_cast<std::size_t>(g.block_index(bx, static_cast<int>(by)));
-                block_min_[index] = lo;
-                block_max_[index] = hi;
-            }
-        }
-    });
-}
-
 img::Imagef Inframe_encoder::next_display_frame(const img::Imagef& video_frame)
 {
     telemetry::Scoped_span span("encode.embed");
@@ -139,49 +225,17 @@ img::Imagef Inframe_encoder::next_display_frame(const img::Imagef& video_frame)
     const int phase = static_cast<int>(j % config_.tau);
     const float sign = (j % 2 == 0) ? 1.0f : -1.0f;
 
-    // Per-block min/max refresh once per video frame (the pair V+D, V-D
-    // must share the cap so complementarity survives clamping).
-    const std::int64_t video_index = j / config_.video_repeat();
-    if (config_.local_amplitude_cap && video_index != stats_video_frame_) {
-        refresh_video_stats(video_frame);
-        stats_video_frame_ = video_index;
-    }
-
     // Materialize the next frame's bits first: bits_for can grow history_
     // and would invalidate a previously taken reference.
     const auto& next = bits_for(data_index + 1);
     const auto& current = bits_for(data_index);
 
-    // Copy the video frame into a recycled buffer; the chessboard embed
-    // then runs over block rows in parallel (blocks write disjoint pixel
-    // rectangles, so any partition yields identical output).
-    img::Imagef out =
-        img::Frame_pool::instance().acquire(g.screen_width, g.screen_height,
-                                            video_frame.channels());
-    std::copy(video_frame.values().begin(), video_frame.values().end(),
-              out.values().begin());
-    util::parallel_for(0, g.blocks_y, 1, [&](std::int64_t by0, std::int64_t by1) {
-        for (std::int64_t by = by0; by < by1; ++by) {
-            for (int bx = 0; bx < g.blocks_x; ++bx) {
-                const auto index =
-                    static_cast<std::size_t>(g.block_index(bx, static_cast<int>(by)));
-                const float gain = envelope_gain(current[index], next[index], phase);
-                if (gain <= 0.0f) continue;
-                float amplitude = config_.delta * gain;
-                if (config_.local_amplitude_cap) {
-                    // V + D must stay <= 255 and V - D >= 0 for the raised
-                    // Pixels; cap symmetrically so the pair still cancels.
-                    const float headroom =
-                        std::min(255.0f - block_max_[index], block_min_[index]);
-                    amplitude = std::clamp(amplitude, 0.0f, std::max(headroom, 0.0f));
-                }
-                if (amplitude <= 0.0f) continue;
-                coding::add_chessboard_block(out, g, bx, static_cast<int>(by),
-                                             sign * amplitude);
-            }
-        }
-    });
-    img::clamp(out, 0.0f, 255.0f);
+    std::vector<float> amplitude(current.size(), 0.0f);
+    for (std::size_t i = 0; i < current.size(); ++i) {
+        const float gain = envelope_gain(current[i], next[i], phase);
+        if (gain > 0.0f) amplitude[i] = sign * (config_.delta * gain);
+    }
+    img::Imagef out = embed(config_, video_frame, amplitude);
     ++display_index_;
     return out;
 }
@@ -198,31 +252,14 @@ Complementary_pair make_complementary_pair(const Inframe_config& config,
     util::expects(block_bits.size() == static_cast<std::size_t>(g.block_count()),
                   "complementary pair: block bit count mismatch");
 
-    Complementary_pair pair{video_frame, video_frame};
-    for (int by = 0; by < g.blocks_y; ++by) {
-        for (int bx = 0; bx < g.blocks_x; ++bx) {
-            if (!block_bits[static_cast<std::size_t>(g.block_index(bx, by))]) continue;
-            float amplitude = config.delta;
-            if (config.local_amplitude_cap) {
-                const auto rect = g.block_rect(bx, by);
-                float lo = 255.0f;
-                float hi = 0.0f;
-                for (int y = rect.y0; y < rect.y0 + rect.size; ++y) {
-                    for (int x = rect.x0; x < rect.x0 + rect.size; ++x) {
-                        for (int c = 0; c < video_frame.channels(); ++c) {
-                            lo = std::min(lo, video_frame(x, y, c));
-                            hi = std::max(hi, video_frame(x, y, c));
-                        }
-                    }
-                }
-                amplitude = std::clamp(amplitude, 0.0f, std::max(std::min(255.0f - hi, lo), 0.0f));
-            }
-            coding::add_chessboard_block(pair.plus, config.geometry, bx, by, amplitude);
-            coding::add_chessboard_block(pair.minus, config.geometry, bx, by, -amplitude);
-        }
+    std::vector<float> amplitude(block_bits.size(), 0.0f);
+    for (std::size_t i = 0; i < block_bits.size(); ++i) {
+        if (block_bits[i]) amplitude[i] = config.delta;
     }
-    img::clamp(pair.plus, 0.0f, 255.0f);
-    img::clamp(pair.minus, 0.0f, 255.0f);
+    Complementary_pair pair;
+    pair.plus = embed(config, video_frame, amplitude);
+    for (float& a : amplitude) a = -a;
+    pair.minus = embed(config, video_frame, amplitude);
     return pair;
 }
 

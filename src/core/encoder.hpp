@@ -5,19 +5,21 @@
 //     display_fps / video_fps times),
 //   - sigma alternates +1 / -1 every refresh (complementary frames: the
 //     eye averages the pair back to V),
-//   - D' is the active data frame's chessboard with a per-block amplitude:
-//     delta scaled by the temporal smoothing envelope (SRRC transition in
-//     the second half of the tau-cycle when the block's bit changes) and
-//     by the local cap that keeps V +- D inside [0, 255] near saturated
-//     content.
+//   - D' is the active data frame's chessboard (paper 3.3: a bit-1 Block
+//     raises every Pixel (i, j) with i + j odd, a bit-0 Block is left
+//     untouched) with a per-block amplitude: delta scaled by the temporal
+//     smoothing envelope (SRRC transition in the second half of the
+//     tau-cycle when the block's bit changes) and by the local cap that
+//     keeps V +- D inside [0, 255] near saturated content. The cap is
+//     computed from the video frame each call is given.
 #pragma once
 
-#include "coding/chessboard.hpp"
 #include "core/config.hpp"
+#include "imgproc/image.hpp"
 
 #include <cstdint>
 #include <deque>
-#include <optional>
+#include <span>
 #include <vector>
 
 namespace inframe::core {
@@ -70,26 +72,21 @@ private:
     // Envelope gain for a block at phase k of the tau cycle.
     float envelope_gain(std::uint8_t current_bit, std::uint8_t next_bit, int phase) const;
 
-    // Per-block min/max of the current video frame (for the local cap).
-    void refresh_video_stats(const img::Imagef& video_frame);
-
     const std::vector<std::uint8_t>& bits_for(std::int64_t data_index);
 
     Inframe_config config_;
     std::deque<std::vector<std::uint8_t>> queue_; // pending data frames
     std::vector<std::vector<std::uint8_t>> history_; // transmitted block bits per data frame
+    std::vector<bool> filler_; // parallel to history_: idle filler, not queued data
     std::vector<std::uint8_t> idle_bits_;
     std::int64_t display_index_ = 0;
     bool paused_ = false;
     std::int64_t pause_boundary_ = -1; // first fully-idle data frame index
-
-    std::vector<float> block_min_;
-    std::vector<float> block_max_;
-    std::int64_t stats_video_frame_ = -1;
 };
 
 // Builds the complementary pair (V + D, V - D) for a single video frame
-// and data frame — the Fig. 4 visual. Applies clamping but no smoothing.
+// and data frame — the Fig. 4 visual. Runs the encoder's embed pass (local
+// cap and clamp included) at full delta, with no temporal smoothing.
 struct Complementary_pair {
     img::Imagef plus;
     img::Imagef minus;

@@ -125,10 +125,12 @@ void clamp(Imagef& image, float lo, float hi)
 {
     util::expects(lo <= hi, "clamp: lo must not exceed hi");
     auto values = image.values();
-    const auto& k = simd::kernels();
     util::parallel_for(0, static_cast<std::int64_t>(values.size()), value_grain,
                        [&](std::int64_t i0, std::int64_t i1) {
-                           k.clamp_f32(values.data() + i0, static_cast<int>(i1 - i0), lo, hi);
+                           for (auto i = static_cast<std::size_t>(i0);
+                                i < static_cast<std::size_t>(i1); ++i) {
+                               values[i] = std::min(std::max(values[i], lo), hi);
+                           }
                        });
 }
 

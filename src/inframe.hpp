@@ -22,7 +22,6 @@
 #include "channel/camera.hpp"
 #include "channel/link.hpp"
 #include "coding/geometry.hpp"
-#include "coding/chessboard.hpp"
 #include "coding/parity.hpp"
 #include "coding/reed_solomon.hpp"
 #include "coding/framing.hpp"

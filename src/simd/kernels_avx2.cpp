@@ -3,10 +3,8 @@
 //
 // Bit-identity with the scalar reference, kernel by kernel (the NEON level
 // rests on the same arguments):
-//  - absdiff and clamp vectorize lane-for-lane (no reassociation); |x| is
-//    a sign-bit clear (andnot with -0.0f), exactly fabsf;
-//  - masked_add selects per lane between x and x+delta, so unset lanes
-//    are untouched (no x += 0.0f, which would flip -0.0f to +0.0f);
+//  - absdiff vectorizes lane-for-lane (no reassociation); |x| is a
+//    sign-bit clear (andnot with -0.0f), exactly fabsf;
 //  - row_sum_f64 maps vector lanes onto the reference's fixed 8-lane
 //    accumulation shape (two 4-wide double accumulators) and merges them
 //    in the same order;
@@ -41,34 +39,6 @@ void absdiff_f32(const float* a, const float* b, float* out, int n)
         _mm256_storeu_ps(out + i, _mm256_andnot_ps(sign, d));
     }
     for (; i < n; ++i) out[i] = std::fabs(a[i] - b[i]);
-}
-
-void clamp_f32(float* x, int n, float lo, float hi)
-{
-    const __m256 vlo = _mm256_set1_ps(lo);
-    const __m256 vhi = _mm256_set1_ps(hi);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        _mm256_storeu_ps(x + i,
-                         _mm256_min_ps(_mm256_max_ps(_mm256_loadu_ps(x + i), vlo), vhi));
-    }
-    for (; i < n; ++i) x[i] = std::min(std::max(x[i], lo), hi);
-}
-
-void masked_add_f32(float* dst, const std::uint32_t* mask, int n, float delta)
-{
-    const __m256 vdelta = _mm256_set1_ps(delta);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 x = _mm256_loadu_ps(dst + i);
-        const __m256 m = _mm256_castsi256_ps(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i)));
-        // blendv keeps unset lanes bit-for-bit untouched (no fp op on them).
-        _mm256_storeu_ps(dst + i, _mm256_blendv_ps(x, _mm256_add_ps(x, vdelta), m));
-    }
-    for (; i < n; ++i) {
-        if (mask[i]) dst[i] += delta;
-    }
 }
 
 double row_sum_f64(const float* p, int n)

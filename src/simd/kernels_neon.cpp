@@ -9,7 +9,6 @@
 
 #include <arm_neon.h>
 
-#include <algorithm>
 #include <cmath>
 
 namespace inframe::simd {
@@ -25,32 +24,6 @@ void absdiff_f32(const float* a, const float* b, float* out, int n)
         vst1q_f32(out + i, vabsq_f32(vsubq_f32(vld1q_f32(a + i), vld1q_f32(b + i))));
     }
     for (; i < n; ++i) out[i] = std::fabs(a[i] - b[i]);
-}
-
-void clamp_f32(float* x, int n, float lo, float hi)
-{
-    const float32x4_t vlo = vdupq_n_f32(lo);
-    const float32x4_t vhi = vdupq_n_f32(hi);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        vst1q_f32(x + i, vminq_f32(vmaxq_f32(vld1q_f32(x + i), vlo), vhi));
-    }
-    for (; i < n; ++i) x[i] = std::min(std::max(x[i], lo), hi);
-}
-
-void masked_add_f32(float* dst, const std::uint32_t* mask, int n, float delta)
-{
-    const float32x4_t vdelta = vdupq_n_f32(delta);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const float32x4_t x = vld1q_f32(dst + i);
-        const uint32x4_t m = vld1q_u32(mask + i);
-        // Bitwise select keeps unset lanes untouched (no fp op on them).
-        vst1q_f32(dst + i, vbslq_f32(m, vaddq_f32(x, vdelta), x));
-    }
-    for (; i < n; ++i) {
-        if (mask[i]) dst[i] += delta;
-    }
 }
 
 double row_sum_f64(const float* p, int n)
@@ -118,8 +91,6 @@ Kernels neon_table(Kernels base)
     // Explicit partial assignment: box_blur_h stays on the inherited
     // (scalar) implementation.
     base.absdiff_f32 = neon::absdiff_f32;
-    base.clamp_f32 = neon::clamp_f32;
-    base.masked_add_f32 = neon::masked_add_f32;
     base.row_sum_f64 = neon::row_sum_f64;
     base.vblur_accum = neon::vblur_accum;
     base.vblur_update = neon::vblur_update;

@@ -18,18 +18,6 @@ void absdiff_f32(const float* a, const float* b, float* out, int n)
     for (int i = 0; i < n; ++i) out[i] = std::fabs(a[i] - b[i]);
 }
 
-void clamp_f32(float* x, int n, float lo, float hi)
-{
-    for (int i = 0; i < n; ++i) x[i] = std::min(std::max(x[i], lo), hi);
-}
-
-void masked_add_f32(float* dst, const std::uint32_t* mask, int n, float delta)
-{
-    for (int i = 0; i < n; ++i) {
-        if (mask[i]) dst[i] += delta;
-    }
-}
-
 double row_sum_f64(const float* p, int n)
 {
     // Fixed 8-lane accumulation shape (see kernel_list.def): this IS the

