@@ -14,6 +14,15 @@
 
 namespace inframe::core {
 
+namespace {
+
+bool all_finite(std::span<const double> values)
+{
+    return std::ranges::all_of(values, [](double v) { return std::isfinite(v); });
+}
+
+} // namespace
+
 void Decoder_params::validate() const
 {
     geometry.validate();
@@ -299,6 +308,8 @@ Inframe_decoder::Threshold_split
 Inframe_decoder::split_metrics(std::span<const double> metrics) const
 {
     util::expects(!metrics.empty(), "decoder: cannot pick a threshold from no metrics");
+    // NaN breaks the strict weak ordering std::sort needs.
+    util::expects(all_finite(metrics), "decoder: cannot split non-finite metrics");
 
     // Otsu's method on the sorted metric values: choose the split that
     // maximizes between-class variance.
@@ -382,6 +393,27 @@ std::vector<Data_frame_result> Inframe_decoder::push_capture(const img::Imagef& 
         raw_index >= index_limit ? static_cast<std::int64_t>(index_limit)
                                  : static_cast<std::int64_t>(raw_index);
 
+    // Phase of the capture within the tau cycle of the frame it lands in
+    // (the frame the advance below leaves current); transition-region
+    // captures do not vote. Strictly inside the stable window: a capture
+    // starting exactly at the half-cycle boundary already integrates the
+    // transition ramp.
+    const std::int64_t landing_frame = std::max(current_frame_, frame_index);
+    const double phase = (start_time - static_cast<double>(landing_frame) * frame_period)
+                         / frame_period;
+    const bool votes = phase < params_.stable_fraction - 1e-9;
+    // A voting capture is measured, and rejected if non-finite, before any
+    // state changes, so a rejected capture loses no finalized frame and
+    // leaves the decoder usable.
+    std::vector<double> metrics;
+    std::vector<double> levels;
+    if (votes) {
+        metrics = block_metrics(capture);
+        if (params_.erasure_aware) levels = block_levels(capture);
+        util::expects(all_finite(metrics) && all_finite(levels),
+                      "decoder: capture gives non-finite block metrics (NaN or Inf pixels)");
+    }
+
     // Cap the number of idle frames emitted for one capture: a wildly
     // future timestamp (clock glitch, fuzzed input) must not turn into
     // millions of empty results. Frames beyond the cap are skipped.
@@ -393,19 +425,9 @@ std::vector<Data_frame_result> Inframe_decoder::push_capture(const img::Imagef& 
         finalized.push_back(finalize());
     }
 
-    // Phase of the capture within the tau cycle; transition-region
-    // captures do not vote.
-    const double phase = (start_time - static_cast<double>(current_frame_) * frame_period)
-                         / frame_period;
-    // Strictly inside the stable window: a capture starting exactly at the
-    // half-cycle boundary already integrates the transition ramp.
-    if (phase < params_.stable_fraction - 1e-9) {
-        const auto metrics = block_metrics(capture);
+    if (votes) {
         for (std::size_t i = 0; i < metrics.size(); ++i) metric_sum_[i] += metrics[i];
-        if (params_.erasure_aware) {
-            const auto levels = block_levels(capture);
-            for (std::size_t i = 0; i < levels.size(); ++i) level_sum_[i] += levels[i];
-        }
+        for (std::size_t i = 0; i < levels.size(); ++i) level_sum_[i] += levels[i];
         ++captures_in_frame_;
     }
     return finalized;

@@ -139,7 +139,8 @@ public:
 
     // Feeds a capture with the wall-clock time its exposure began.
     // Returns data frames finalized by this capture (zero or one, in
-    // order).
+    // order). A capture whose block metrics are non-finite (NaN or Inf
+    // pixels) throws Contract_violation and leaves the decoder unchanged.
     std::vector<Data_frame_result> push_capture(const img::Imagef& capture,
                                                 double start_time);
 
@@ -157,7 +158,8 @@ public:
     std::vector<double> block_levels(const img::Imagef& capture) const;
 
     // Otsu split of a metric vector. bimodal is false when the two
-    // classes are not separated (no detectable signal population).
+    // classes are not separated (no detectable signal population). Throws
+    // Contract_violation on a non-finite metric.
     struct Threshold_split {
         double value = 0.0;
         bool bimodal = false;

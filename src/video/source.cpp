@@ -5,7 +5,9 @@
 #include "imgproc/io.hpp"
 #include "util/contract.hpp"
 #include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -33,37 +35,50 @@ double smoothstep(double t)
 
 } // namespace
 
-double value_noise(double x, double y, std::uint64_t seed)
+void fractal_noise_row(std::span<const double> x, double y, std::uint64_t seed, int octaves,
+                       std::span<double> out)
 {
-    const double fx = std::floor(x);
-    const double fy = std::floor(y);
-    const auto ix = static_cast<std::int64_t>(fx);
-    const auto iy = static_cast<std::int64_t>(fy);
-    const double tx = smoothstep(x - fx);
-    const double ty = smoothstep(y - fy);
-    const double v00 = lattice_value(ix, iy, seed);
-    const double v10 = lattice_value(ix + 1, iy, seed);
-    const double v01 = lattice_value(ix, iy + 1, seed);
-    const double v11 = lattice_value(ix + 1, iy + 1, seed);
-    const double top = v00 + (v10 - v00) * tx;
-    const double bottom = v01 + (v11 - v01) * tx;
-    return top + (bottom - top) * ty;
-}
-
-double fractal_noise(double x, double y, std::uint64_t seed, int octaves)
-{
-    util::expects(octaves >= 1, "fractal_noise needs at least one octave");
+    util::expects(octaves >= 1, "fractal_noise_row needs at least one octave");
+    util::expects(out.size() == x.size(), "fractal_noise_row needs one output per x");
+    std::ranges::fill(out, 0.0);
     double amplitude = 0.5;
-    double total = 0.0;
     double norm = 0.0;
+    // Octave o samples x[i] * 2^o: doubling is exact, so this is the same
+    // double as doubling x[i] o times.
+    double scale = 1.0;
     for (int o = 0; o < octaves; ++o) {
-        total += amplitude * value_noise(x, y, seed + static_cast<std::uint64_t>(o) * 7919);
+        const std::uint64_t octave_seed = seed + static_cast<std::uint64_t>(o) * 7919;
+        const double fy = std::floor(y);
+        const auto iy = static_cast<std::int64_t>(fy);
+        const double ty = smoothstep(y - fy);
+        // The four lattice values of the current cell, reused while
+        // consecutive pixels stay in it.
+        std::int64_t cell = 0;
+        bool have_cell = false;
+        double v00 = 0.0, v10 = 0.0, v01 = 0.0, v11 = 0.0;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            const double xo = x[i] * scale;
+            const double fx = std::floor(xo);
+            const auto ix = static_cast<std::int64_t>(fx);
+            if (!have_cell || ix != cell) {
+                cell = ix;
+                have_cell = true;
+                v00 = lattice_value(ix, iy, octave_seed);
+                v10 = lattice_value(ix + 1, iy, octave_seed);
+                v01 = lattice_value(ix, iy + 1, octave_seed);
+                v11 = lattice_value(ix + 1, iy + 1, octave_seed);
+            }
+            const double tx = smoothstep(xo - fx);
+            const double top = v00 + (v10 - v00) * tx;
+            const double bottom = v01 + (v11 - v01) * tx;
+            out[i] += amplitude * (top + (bottom - top) * ty);
+        }
         norm += amplitude;
-        x *= 2.0;
         y *= 2.0;
+        scale *= 2.0;
         amplitude *= 0.5;
     }
-    return total / norm;
+    for (double& v : out) v /= norm;
 }
 
 Solid_video::Solid_video(int width, int height, float level, double fps)
@@ -104,6 +119,22 @@ Sunrise_video::Sunrise_video(int width, int height, double fps, std::uint64_t se
 {
     util::expects(width > 0 && height > 0, "Sunrise_video dimensions must be positive");
     util::expects(fps > 0.0, "Sunrise_video fps must be positive");
+    // The first row the sky test `y < 0.62 * height` rejects.
+    ground_row_ = static_cast<int>(std::ceil(0.62 * height_));
+    const auto w = static_cast<std::size_t>(width_);
+    hill_texture_.resize(w * static_cast<std::size_t>(height_ - ground_row_));
+    std::vector<double> hill_x(w);
+    for (int x = 0; x < width_; ++x) {
+        hill_x[static_cast<std::size_t>(x)] = static_cast<double>(x) / 7.0;
+    }
+    util::parallel_for(ground_row_, height_, 8, [&](std::int64_t y0, std::int64_t y1) {
+        for (auto y = y0; y < y1; ++y) {
+            const std::span<double> row(
+                hill_texture_.data() + static_cast<std::size_t>(y - ground_row_) * w, w);
+            fractal_noise_row(hill_x, static_cast<double>(y) / 7.0, seed_ + 17, 4, row);
+            for (double& v : row) v = (v - 0.5) * 38.0;
+        }
+    });
 }
 
 img::Imagef Sunrise_video::frame(std::int64_t index) const
@@ -119,42 +150,54 @@ img::Imagef Sunrise_video::frame(std::int64_t index) const
     const double sun_x = 0.5 * width_ + 0.06 * width_ * std::sin(t * 0.1);
     const double sun_y = horizon + (0.25 - 0.55 * progress) * height_;
     const double sun_radius = 0.055 * std::min(width_, height_);
+    const double sun_disc = 235.0 + 20.0 * progress;
+    const double glow_scale = sun_radius * 4.0;
+    const double glow_gain = 0.4 + 0.6 * progress;
 
     const double sky_top = 28.0 + 90.0 * progress;     // zenith level
     const double sky_horizon = 90.0 + 120.0 * progress; // glow near horizon
+    // Foreground hills: dark with high-frequency texture, the "high-texture
+    // areas" the decoder's de-meaning targets.
+    const double ground = 18.0 + 26.0 * progress;
 
-    for (int y = 0; y < height_; ++y) {
-        const double rel = std::clamp(static_cast<double>(y) / horizon, 0.0, 1.0);
-        const double sky = sky_top + (sky_horizon - sky_top) * rel * rel;
-        for (int x = 0; x < width_; ++x) {
-            double level;
-            if (static_cast<double>(y) < horizon) {
-                level = sky;
-                // Drifting clouds: smooth fractal noise, moving slowly.
-                const double cloud = fractal_noise(static_cast<double>(x) / 96.0 + t * 0.25,
-                                                   static_cast<double>(y) / 64.0, seed_, 3);
-                level += (cloud - 0.5) * 46.0;
+    // Drifting clouds: smooth fractal noise, moving slowly.
+    const auto w = static_cast<std::size_t>(width_);
+    std::vector<double> cloud_x(w);
+    for (int x = 0; x < width_; ++x) {
+        cloud_x[static_cast<std::size_t>(x)] = static_cast<double>(x) / 96.0 + t * 0.25;
+    }
+
+    util::parallel_for(0, height_, 8, [&](std::int64_t y0, std::int64_t y1) {
+        std::vector<double> cloud(w);
+        for (auto y = y0; y < y1; ++y) {
+            const std::span<float> row = out.row(static_cast<int>(y));
+            if (y >= ground_row_) {
+                const double* texture =
+                    hill_texture_.data() + static_cast<std::size_t>(y - ground_row_) * w;
+                for (std::size_t x = 0; x < w; ++x) {
+                    row[x] = static_cast<float>(std::clamp(ground + texture[x], 0.0, 255.0));
+                }
+                continue;
+            }
+            const double rel = std::clamp(static_cast<double>(y) / horizon, 0.0, 1.0);
+            const double sky = sky_top + (sky_horizon - sky_top) * rel * rel;
+            fractal_noise_row(cloud_x, static_cast<double>(y) / 64.0, seed_, 3, cloud);
+            const double dy = static_cast<double>(y) - sun_y;
+            const double dy2 = dy * dy;
+            for (std::size_t x = 0; x < w; ++x) {
+                double level = sky + (cloud[x] - 0.5) * 46.0;
                 // Sun glow and disc.
                 const double dx = static_cast<double>(x) - sun_x;
-                const double dy = static_cast<double>(y) - sun_y;
-                const double dist = std::sqrt(dx * dx + dy * dy);
+                const double dist = std::sqrt(dx * dx + dy2);
                 if (dist < sun_radius) {
-                    level = 235.0 + 20.0 * progress;
+                    level = sun_disc;
                 } else {
-                    level += 160.0 * std::exp(-dist / (sun_radius * 4.0)) * (0.4 + 0.6 * progress);
+                    level += 160.0 * std::exp(-dist / glow_scale) * glow_gain;
                 }
-            } else {
-                // Foreground hills: dark with high-frequency texture, the
-                // "high-texture areas" the decoder's de-meaning targets.
-                const double ground = 18.0 + 26.0 * progress;
-                const double texture =
-                    fractal_noise(static_cast<double>(x) / 7.0, static_cast<double>(y) / 7.0,
-                                  seed_ + 17, 4);
-                level = ground + (texture - 0.5) * 38.0;
+                row[x] = static_cast<float>(std::clamp(level, 0.0, 255.0));
             }
-            out(x, y) = static_cast<float>(std::clamp(level, 0.0, 255.0));
         }
-    }
+    });
     return out;
 }
 
@@ -165,6 +208,7 @@ Moving_bars_video::Moving_bars_video(int width, int height, int bar_width,
 {
     util::expects(width > 0 && height > 0, "Moving_bars_video dimensions must be positive");
     util::expects(bar_width > 0, "Moving_bars_video bar width must be positive");
+    util::expects(std::isfinite(speed_px_per_frame), "Moving_bars_video speed must be finite");
     util::expects(fps > 0.0, "Moving_bars_video fps must be positive");
 }
 
@@ -174,9 +218,10 @@ img::Imagef Moving_bars_video::frame(std::int64_t index) const
     img::Imagef out(width_, height_, 1);
     const double offset = static_cast<double>(index) * speed_;
     for (int x = 0; x < width_; ++x) {
-        const auto phase =
-            static_cast<std::int64_t>(std::floor((static_cast<double>(x) + offset) / bar_width_));
-        const float level = (phase % 2 + 2) % 2 == 0 ? lo_ : hi_;
+        // Parity of the bar index, taken in double: no integer cast, so any
+        // finite speed and index stay defined.
+        const double phase = std::floor((static_cast<double>(x) + offset) / bar_width_);
+        const float level = std::fmod(phase, 2.0) == 0.0 ? lo_ : hi_;
         for (int y = 0; y < height_; ++y) out(x, y) = level;
     }
     return out;
@@ -245,6 +290,7 @@ Ticker_video::Ticker_video(int width, int height, std::string text, float speed_
 {
     util::expects(width > 0 && height > 0, "Ticker_video dimensions must be positive");
     util::expects(!text_.empty(), "Ticker_video needs text");
+    util::expects(std::isfinite(speed_px_per_frame), "Ticker_video speed must be finite");
     util::expects(fps > 0.0, "Ticker_video fps must be positive");
     // 5x7 glyphs with 1-column gaps at scale 2.
     text_width_px_ = static_cast<int>(text_.size()) * 12;
@@ -256,7 +302,10 @@ img::Imagef Ticker_video::frame(std::int64_t index) const
     img::Imagef out(width_, height_, 1, background_);
     const int cycle = width_ + text_width_px_;
     const double travel = static_cast<double>(index) * speed_;
-    const int x0 = width_ - static_cast<int>(std::fmod(travel, cycle));
+    // Non-negative modulo: a negative speed scrolls the text right.
+    double wrapped = std::fmod(travel, cycle);
+    if (wrapped < 0.0) wrapped += cycle;
+    const int x0 = width_ - static_cast<int>(wrapped);
     const int y0 = height_ / 2 - 7;
     img::draw_text(out, x0, y0, text_.c_str(), ink_, 2);
     // Second copy so the band never goes empty on wide frames.

@@ -18,7 +18,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace inframe::video {
 
@@ -73,7 +75,9 @@ private:
 };
 
 // Procedural sunrise scene: brightening sky gradient, rising sun disc,
-// drifting value-noise clouds, dark textured foreground hills.
+// drifting value-noise clouds, dark textured foreground hills. Rows render
+// in parallel (util::parallel_for); every pixel is a pure function of
+// (x, y, index), so frames are bit-identical at any thread count.
 class Sunrise_video final : public Video_source {
 public:
     Sunrise_video(int width, int height, double fps = 30.0, std::uint64_t seed = 1);
@@ -89,9 +93,14 @@ private:
     int height_;
     double fps_;
     std::uint64_t seed_;
+    // The foreground hills do not move: rows [ground_row_, height_) hold
+    // each pixel's texture term, (fractal noise - 0.5) * 38, computed once.
+    int ground_row_;
+    std::vector<double> hill_texture_;
 };
 
-// Vertical bars scrolling horizontally: a motion/edge stress input.
+// Vertical bars scrolling horizontally: a motion/edge stress input. The
+// speed must be finite; a negative speed scrolls left.
 class Moving_bars_video final : public Video_source {
 public:
     Moving_bars_video(int width, int height, int bar_width, float speed_px_per_frame,
@@ -212,7 +221,8 @@ private:
 // Scrolling text ticker over a flat background: thin high-contrast glyph
 // strokes moving horizontally — text is exactly the content a broadcaster
 // overlays on live video, and its sharp edges probe the decoder's texture
-// rejection.
+// rejection. The text scrolls left; a negative speed scrolls it right. The
+// speed must be finite.
 class Ticker_video final : public Video_source {
 public:
     Ticker_video(int width, int height, std::string text, float speed_px_per_frame,
@@ -261,11 +271,13 @@ private:
     Tint light_;
 };
 
-// Smooth 2-D value noise in [0, 1]: random lattice values, bilinear
-// interpolation with a smoothstep fade. Deterministic in (x, y, seed).
-double value_noise(double x, double y, std::uint64_t seed);
-
-// Sum of `octaves` value-noise layers with halving amplitude, in [0, 1].
-double fractal_noise(double x, double y, std::uint64_t seed, int octaves);
+// Fractal value noise along one row, in [0, 1]: out[i] is the sum of
+// `octaves` layers of smooth 2-D value noise at (x[i], y) (random lattice
+// values, bilinear interpolation with a smoothstep fade), each octave at
+// twice the frequency and half the amplitude of the one before, divided by
+// the total amplitude. Deterministic in (x[i], y, seed); one octave is plain
+// value noise. x and out must not overlap.
+void fractal_noise_row(std::span<const double> x, double y, std::uint64_t seed, int octaves,
+                       std::span<double> out);
 
 } // namespace inframe::video

@@ -170,6 +170,49 @@ TEST(DecoderFuzz, WrongSizeCaptureIsRejectedLoudly)
     EXPECT_NO_THROW(decoder.push_capture(right, 0.0));
 }
 
+TEST(DecoderFuzz, NonFiniteCapturesAreRejectedLoudly)
+{
+    for (const bool erasure_aware : {false, true}) {
+        for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()}) {
+            const auto params = fuzz_params(erasure_aware);
+            Inframe_decoder decoder(params);
+            const Imagef clean(width, height, 1, 127.0f);
+            ASSERT_TRUE(decoder.push_capture(clean, 0.0).empty());
+            // 0.5% of the pixels, scattered.
+            Imagef capture = clean;
+            Prng prng(7);
+            for (int i = 0; i < width * height / 200; ++i) {
+                capture(static_cast<int>(prng.next_int(0, width - 1)),
+                        static_cast<int>(prng.next_int(0, height - 1))) = bad;
+            }
+            EXPECT_THROW(decoder.push_capture(capture, 1.0 / 120.0),
+                         inframe::util::Contract_violation)
+                << bad << (erasure_aware ? " erasure-aware" : " hard");
+            // The rejected capture left no trace: the decoder keeps working
+            // and its frame holds only the clean capture.
+            EXPECT_NO_THROW(decoder.push_capture(clean, 2.0 / 120.0));
+            const auto last = decoder.flush();
+            ASSERT_TRUE(last.has_value());
+            EXPECT_EQ(last->captures_used, 2);
+            expect_well_formed(*last, params);
+        }
+    }
+}
+
+TEST(DecoderFuzz, NonFiniteMetricsAreNotSplit)
+{
+    const Inframe_decoder decoder(fuzz_params(true));
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        std::vector<double> metrics(1500, 1.0);
+        metrics[700] = bad;
+        EXPECT_THROW(decoder.split_metrics(metrics), inframe::util::Contract_violation) << bad;
+    }
+}
+
 TEST(DecoderFuzz, ThreeChannelGarbageIsAccepted)
 {
     // Color captures route through the luminance conversion; fuzz that

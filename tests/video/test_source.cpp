@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <limits>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -125,6 +127,35 @@ TEST(MovingBars, TwoLevelsOnly)
     Moving_bars_video v(32, 8, 4, 1.0f, 30.0, 10.0f, 20.0f);
     const Imagef f = v.frame(3);
     for (const float px : f.values()) EXPECT_TRUE(px == 10.0f || px == 20.0f);
+}
+
+TEST(MovingBars, NegativeSpeedMovesBarsRight)
+{
+    Moving_bars_video v(64, 8, 8, -2.0f);
+    const Imagef f0 = v.frame(0);
+    const Imagef f4 = v.frame(4); // bars shifted right by one bar width
+    for (int x = 0; x < 56; ++x) {
+        EXPECT_EQ(f4(x + 8, 0), f0(x, 0));
+    }
+}
+
+TEST(MovingBars, HugeFiniteSpeedStaysTwoLevel)
+{
+    // Offsets far past the int64 range must still give a defined frame.
+    Moving_bars_video v(32, 4, 4, 3.0e38f, 30.0, 10.0f, 20.0f);
+    for (const std::int64_t index : {1, 1000, 1'000'000'000}) {
+        const Imagef f = v.frame(index);
+        for (const float px : f.values()) EXPECT_TRUE(px == 10.0f || px == 20.0f);
+    }
+}
+
+TEST(MovingBars, RejectsNonFiniteSpeed)
+{
+    for (const float speed : {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()}) {
+        EXPECT_THROW(Moving_bars_video(64, 8, 8, speed), Contract_violation) << speed;
+    }
 }
 
 TEST(NoiseVideo, MatchesRequestedMoments)
@@ -241,9 +272,47 @@ TEST(TickerVideo, WrapsAround)
     EXPECT_LT(inframe::img::mae(f0, f_cycle), 0.5);
 }
 
+// Column range [first, last] of the ink pixels, or {-1, -1} when blank.
+std::pair<int, int> ink_columns(const Imagef& frame)
+{
+    int first = -1;
+    int last = -1;
+    for (int x = 0; x < frame.width(); ++x) {
+        for (int y = 0; y < frame.height(); ++y) {
+            if (frame(x, y) > 200.0f) {
+                if (first < 0) first = x;
+                last = x;
+                break;
+            }
+        }
+    }
+    return {first, last};
+}
+
+TEST(TickerVideo, NegativeSpeedScrollsRight)
+{
+    // Cycle: 192 + 4 glyphs * 12 px = 240 px, i.e. 120 frames at 2 px.
+    Ticker_video v(192, 54, "GOAL", -2.0f);
+    const auto [first40, last40] = ink_columns(v.frame(40));
+    const auto [first50, last50] = ink_columns(v.frame(50));
+    ASSERT_GE(first40, 0) << "a negative speed must not blank the ticker";
+    EXPECT_EQ(first50 - first40, 20);
+    EXPECT_EQ(last50 - last40, 20);
+    // The text is on screen for most of every cycle, not just the first.
+    int inked = 0;
+    for (std::int64_t i = 1000; i < 1120; ++i) inked += ink_columns(v.frame(i)).first >= 0;
+    EXPECT_GT(inked, 100);
+    EXPECT_DOUBLE_EQ(inframe::img::mae(v.frame(7), v.frame(7 + 120)), 0.0);
+}
+
 TEST(TickerVideo, Validation)
 {
     EXPECT_THROW(Ticker_video(96, 54, "", 1.0f), Contract_violation);
+    for (const float speed : {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()}) {
+        EXPECT_THROW(Ticker_video(96, 54, "NEWS", speed), Contract_violation) << speed;
+    }
 }
 
 TEST(ImageSequenceVideo, LoadsAndLoopsRecordedFrames)
@@ -287,6 +356,15 @@ TEST(ImageSequenceVideo, Validation)
     EXPECT_THROW(Image_sequence_video({}), Contract_violation);
 }
 
+// One octave of fractal_noise_row is plain value noise.
+double value_noise(double x, double y, std::uint64_t seed)
+{
+    const double xs[] = {x};
+    double out[1];
+    fractal_noise_row(xs, y, seed, 1, out);
+    return out[0];
+}
+
 TEST(ValueNoise, DeterministicAndBounded)
 {
     for (int i = 0; i < 50; ++i) {
@@ -309,11 +387,16 @@ TEST(ValueNoise, ContinuousAcrossLatticeCells)
 
 TEST(FractalNoise, BoundedAndOctaveValidation)
 {
-    EXPECT_THROW(fractal_noise(0.0, 0.0, 1, 0), Contract_violation);
+    std::vector<double> x(20);
+    for (int i = 0; i < 20; ++i) x[static_cast<std::size_t>(i)] = i * 0.31;
+    std::vector<double> row(x.size());
+    EXPECT_THROW(fractal_noise_row(x, 0.0, 1, 0, row), Contract_violation);
     for (int i = 0; i < 20; ++i) {
-        const double v = fractal_noise(i * 0.31, i * 0.17, 1, 4);
-        EXPECT_GE(v, 0.0);
-        EXPECT_LE(v, 1.0);
+        fractal_noise_row(x, i * 0.17, 1, 4, row);
+        for (const double v : row) {
+            EXPECT_GE(v, 0.0);
+            EXPECT_LE(v, 1.0);
+        }
     }
 }
 
