@@ -189,6 +189,34 @@ void bm_optics_to_sensor(benchmark::State& state)
 }
 BENCHMARK(bm_optics_to_sensor)->Unit(benchmark::kMillisecond);
 
+// The sensor electronics on one paper-rig capture (1280x720, default
+// camera: shot and read noise, quantized) at 1 thread, once per SIMD level
+// the host runs (the argument is the level). The pass runs in place on
+// the same image with a fresh capture index each time.
+void bm_sensor_noise(benchmark::State& state)
+{
+    const auto level = static_cast<simd::Level>(state.range(0));
+    const simd::Level previous = simd::set_active_level(level);
+    const util::Parallel_scope threads(1);
+    util::Prng prng(6);
+    img::Imagef image(1280, 720, 1);
+    for (auto& v : image.values()) v = static_cast<float>(prng.next_double(0, 255));
+    const channel::Camera_params camera;
+    std::int64_t capture = 0;
+    for (auto _ : state) {
+        channel::apply_sensor_noise_rows(image, camera, capture++);
+        benchmark::DoNotOptimize(image.values().data());
+        benchmark::ClobberMemory();
+    }
+    state.SetLabel(simd::to_string(level));
+    simd::set_active_level(previous);
+}
+BENCHMARK(bm_sensor_noise)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+        for (const simd::Level level : simd::available_levels()) b->Arg(static_cast<int>(level));
+    })
+    ->Unit(benchmark::kMillisecond);
+
 void bm_reed_solomon_decode(benchmark::State& state)
 {
     const coding::Reed_solomon rs(140, 63);
@@ -276,6 +304,15 @@ void run_simd_speedup_table(const bench::Args& args)
         blur_out[s] = blur_dst[s].data();
     }
 
+    // box_muller_f64: n / 2 pairs of uniforms on the kernel's domain.
+    std::vector<double> u1(n / 2);
+    std::vector<double> u2(n / 2);
+    std::vector<double> gaussians(n);
+    for (std::size_t i = 0; i < u1.size(); ++i) {
+        u1[i] = prng.next_double(0x1.0p-53, 1.0);
+        u2[i] = prng.next_double();
+    }
+
     struct Kernel_case {
         const char* name;
         std::function<void(const Kernels&)> call;
@@ -289,6 +326,9 @@ void run_simd_speedup_table(const bench::Args& args)
          [&](const Kernels& k) { k.vblur_update(dacc.data(), fa.data(), fb.data(), n); }},
         {"box_blur_h", [&](const Kernels& k) {
              k.box_blur_h(blur_in.data(), blur_out.data(), blur_lanes, blur_width, 1, 3);
+         }},
+        {"box_muller_f64", [&](const Kernels& k) {
+             k.box_muller_f64(u1.data(), u2.data(), gaussians.data(), n / 2);
          }},
     };
 

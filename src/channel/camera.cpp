@@ -1,13 +1,14 @@
 #include "channel/camera.hpp"
 
-#include "imgproc/image_ops.hpp"
 #include "imgproc/pool.hpp"
+#include "simd/simd.hpp"
 #include "util/contract.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 
 namespace inframe::channel {
@@ -129,6 +130,18 @@ Taps axis_taps(int n_in, int n_out, double offset, double sigma)
     return taps;
 }
 
+// Shared by Camera_optics and apply_sensor_noise_rows, which takes its
+// parameters directly.
+void check_electronics(const Camera_params& params)
+{
+    util::expects(std::isfinite(params.shot_noise_scale) && params.shot_noise_scale >= 0.0,
+                  "shot noise scale must be finite and non-negative");
+    util::expects(std::isfinite(params.read_noise_sigma) && params.read_noise_sigma >= 0.0,
+                  "read noise must be finite and non-negative");
+    util::expects(std::isfinite(params.gain) && params.gain > 0.0,
+                  "camera gain must be finite and positive");
+}
+
 } // namespace
 
 Camera_optics::Camera_optics(const Camera_params& params, int screen_width, int screen_height)
@@ -153,9 +166,7 @@ Camera_optics::Camera_optics(const Camera_params& params, int screen_width, int 
                   "optical blur cannot exceed the sensor size");
     util::expects(std::isfinite(params.offset_x_px) && std::isfinite(params.offset_y_px),
                   "sensor offset must be finite");
-    util::expects(params.shot_noise_scale >= 0.0, "shot noise scale must be non-negative");
-    util::expects(params.read_noise_sigma >= 0.0, "read noise must be non-negative");
-    util::expects(params.gain > 0.0, "camera gain must be positive");
+    check_electronics(params);
     util::expects(screen_width > 0 && screen_height > 0, "screen size must be positive");
 
     // The perspective path warps onto the sensor grid first, so its taps
@@ -256,24 +267,68 @@ Camera_params auto_expose(Camera_params params, double scene_mean_level,
 
 namespace {
 
-void sensor_electronics_span(std::span<float> values, const Camera_params& params,
-                             util::Prng& prng)
+// Per-chunk scratch for one row's Box-Muller pairs.
+struct Noise_scratch {
+    std::vector<double> u1;
+    std::vector<double> u2;
+    std::vector<double> gaussians;
+};
+
+// The first `count` Gaussians of one row's stream, in the order a fresh
+// util::Prng(seed) hands them out through next_gaussian: pair j draws u1
+// (again while <= DBL_MIN) then u2, and yields r cos a, then r sin a.
+const double* row_gaussians(std::uint64_t seed, std::size_t count, Noise_scratch& scratch)
 {
-    const auto gain = static_cast<float>(params.gain);
-    for (auto& v : values) {
-        double level = v;
-        if (params.shot_noise_scale > 0.0) {
-            level += prng.next_gaussian(0.0,
-                                        params.shot_noise_scale * std::sqrt(std::max(level, 0.0)));
-        }
-        if (params.read_noise_sigma > 0.0) {
-            level += prng.next_gaussian(0.0, params.read_noise_sigma);
-        }
-        level *= gain;
-        level = std::clamp(level, 0.0, 255.0);
-        if (params.quantize) level = std::nearbyint(level);
-        v = static_cast<float>(level);
+    const std::size_t pairs = (count + 1) / 2;
+    scratch.u1.resize(pairs);
+    scratch.u2.resize(pairs);
+    scratch.gaussians.resize(2 * pairs);
+    util::Prng prng(seed);
+    for (std::size_t j = 0; j < pairs; ++j) {
+        double u1 = 0.0;
+        do {
+            u1 = prng.next_double();
+        } while (u1 <= std::numeric_limits<double>::min());
+        scratch.u1[j] = u1;
+        scratch.u2[j] = prng.next_double();
     }
+    simd::kernels().box_muller_f64(scratch.u1.data(), scratch.u2.data(),
+                                   scratch.gaussians.data(), static_cast<int>(pairs));
+    return scratch.gaussians.data();
+}
+
+// Shot noise, read noise, gain, clamp and rounding on one row in place, in
+// util::Prng's draw order: value i takes Gaussian i * d (shot) and
+// i * d + d - 1 (read), d the number of noise terms on. Every op is an
+// exact IEEE op in a fixed order, and the loop has no branches, so the
+// compiler may vectorize it (see CMakeLists.txt) without changing a bit.
+// Returns false if any input value is NaN or infinite.
+template <bool shot, bool read>
+bool electronics_row(std::span<float> values, const Camera_params& params, const double* g)
+{
+    constexpr std::size_t d = std::size_t{shot} + std::size_t{read};
+    const double shot_scale = params.shot_noise_scale;
+    const double read_sigma = params.read_noise_sigma;
+    const double gain = static_cast<float>(params.gain);
+    const bool quantize = params.quantize;
+    int non_finite = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const float v = values[i];
+        non_finite |= std::isfinite(v) ? 0 : 1;
+        double level = v;
+        // 0.0 + stddev * g, as util::Prng::next_gaussian(0.0, stddev) sums
+        // it: the 0.0 turns a -0.0 noise term into +0.0.
+        if constexpr (shot) {
+            level += 0.0 + shot_scale * std::sqrt(std::max(level, 0.0)) * g[i * d];
+        }
+        if constexpr (read) level += 0.0 + read_sigma * g[i * d + d - 1];
+        level *= gain;
+        level = std::min(std::max(level, 0.0), 255.0); // std::clamp's result
+        // Round to nearest, ties to even, as nearbyint does (-0.0 stays).
+        if (quantize) level = std::copysign((level + 0x1.8p52) - 0x1.8p52, level);
+        values[i] = static_cast<float>(level);
+    }
+    return non_finite == 0;
 }
 
 std::uint64_t mix64(std::uint64_t x)
@@ -296,21 +351,27 @@ std::uint64_t row_noise_seed(std::uint64_t seed, std::int64_t capture_index, int
 void apply_sensor_noise_rows(img::Imagef& integrated, const Camera_params& params,
                              std::int64_t capture_index)
 {
-    // Skip the whole pass (not just the draws) when the electronics are an
-    // identity: gain 1 with no noise or quantization leaves the image
-    // untouched either way, and the noiseless configs are the hot ones in
-    // the clean-channel tests/benches.
-    const bool identity = params.shot_noise_scale <= 0.0 && params.read_noise_sigma <= 0.0
-                          && params.gain == 1.0 && !params.quantize;
-    if (identity) {
-        img::clamp(integrated, 0.0f, 255.0f);
-        return;
-    }
+    check_electronics(params);
+    const bool shot = params.shot_noise_scale > 0.0;
+    const bool read = params.read_noise_sigma > 0.0;
+    const std::size_t per_value = std::size_t{shot} + std::size_t{read};
+    const auto electronics = shot ? (read ? electronics_row<true, true>
+                                          : electronics_row<true, false>)
+                                  : (read ? electronics_row<false, true>
+                                          : electronics_row<false, false>);
     util::parallel_for(0, integrated.height(), 8, [&](std::int64_t r0, std::int64_t r1) {
+        Noise_scratch scratch;
+        bool finite = true;
         for (std::int64_t r = r0; r < r1; ++r) {
-            util::Prng prng(row_noise_seed(params.seed, capture_index, static_cast<int>(r)));
-            sensor_electronics_span(integrated.row(static_cast<int>(r)), params, prng);
+            const auto row = integrated.row(static_cast<int>(r));
+            const double* gaussians =
+                per_value == 0 ? nullptr
+                               : row_gaussians(row_noise_seed(params.seed, capture_index,
+                                                              static_cast<int>(r)),
+                                               row.size() * per_value, scratch);
+            finite &= electronics(row, params, gaussians);
         }
+        util::expects(finite, "apply_sensor_noise_rows: non-finite irradiance (NaN or Inf)");
     });
 }
 

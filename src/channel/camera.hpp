@@ -137,7 +137,14 @@ private:
 // (seed, k, r), so the noise field is a pure function of the capture —
 // identical for every thread count and for out-of-order row processing.
 // This is the seeding contract the determinism tests rely on (DESIGN.md,
-// "Threading model & determinism").
+// "Threading model & determinism"). The Gaussians are the ones
+// util::Prng::next_gaussian would hand out on that stream, evaluated by
+// the simd box_muller_f64 kernel: the same at every SIMD level and with
+// any C library.
+//
+// Throws Contract_violation on a non-finite or negative noise parameter,
+// a non-finite or non-positive gain, or any NaN or infinite pixel (the
+// image is then partly processed).
 void apply_sensor_noise_rows(img::Imagef& integrated, const Camera_params& params,
                              std::int64_t capture_index);
 

@@ -1,6 +1,6 @@
 // NEON kernels (aarch64). Built on top of the scalar table; the
-// structurally complex box_blur_h inherits the scalar version — NEON still
-// covers every elementwise and reduction kernel. The bit-identity
+// structurally complex box_blur_h and box_muller_f64 inherit the scalar
+// versions — NEON still covers every elementwise and reduction kernel. The bit-identity
 // arguments are the ones listed in kernels_avx2.cpp.
 
 #include "simd/kernels_internal.hpp"
@@ -88,8 +88,8 @@ namespace detail {
 
 Kernels neon_table(Kernels base)
 {
-    // Explicit partial assignment: box_blur_h stays on the inherited
-    // (scalar) implementation.
+    // Explicit partial assignment: box_blur_h and box_muller_f64 stay on
+    // the inherited (scalar) implementations.
     base.absdiff_f32 = neon::absdiff_f32;
     base.row_sum_f64 = neon::row_sum_f64;
     base.vblur_accum = neon::vblur_accum;

@@ -1,8 +1,8 @@
 // Runtime-dispatched SIMD kernel layer.
 //
 // The per-pixel hot paths of the encoder and decoder (chessboard embed and
-// clamp, box blur, per-block residuals and means) funnel through the
-// function-pointer table below. A scalar reference implementation is
+// clamp, box blur, per-block residuals and means) and the camera's sensor
+// noise (Box-Muller) funnel through the function-pointer table below. A scalar reference implementation is
 // always built, plus one vector level per ISA: AVX2 on x86-64 (hardware
 // permitting), NEON on aarch64. The active table is chosen once, at first
 // use:

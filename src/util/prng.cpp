@@ -19,11 +19,6 @@ std::uint64_t splitmix64(std::uint64_t& x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Prng::Prng(std::uint64_t seed)
@@ -31,19 +26,6 @@ Prng::Prng(std::uint64_t seed)
     // splitmix64 expansion guarantees a non-degenerate xoshiro state even
     // for seed == 0.
     for (auto& word : state_) word = splitmix64(seed);
-}
-
-std::uint64_t Prng::next_u64()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 std::uint64_t Prng::next_below(std::uint64_t bound)
@@ -63,11 +45,6 @@ std::int64_t Prng::next_int(std::int64_t lo, std::int64_t hi)
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     if (span == 0) return static_cast<std::int64_t>(next_u64()); // full 64-bit range
     return lo + static_cast<std::int64_t>(next_below(span));
-}
-
-double Prng::next_double()
-{
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Prng::next_double(double lo, double hi)

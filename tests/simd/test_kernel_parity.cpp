@@ -8,16 +8,21 @@
 //
 // Case generation deliberately covers the classic vectorization traps:
 // sizes hitting every width-mod-lanes remainder, stride != width streams
-// for box_blur_h, and negative zero inputs.
+// for box_blur_h, negative zero inputs, and for box_muller_f64 the edges of
+// its domain and of the pi/2 reduction's quadrants.
 
 #include "simd/simd.hpp"
 #include "util/contract.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <numbers>
 #include <random>
 #include <string>
 #include <vector>
@@ -206,6 +211,66 @@ PARITY_KERNEL(box_blur_h)
     }
 }
 
+// Uniforms on box_muller_f64's domain: u1 in [DBL_MIN, 1), u2 in [0, 1).
+// A third are edge values (the ends of the u1 range, the u2 multiples of
+// 1/8 where the pi/2 reduction changes quadrant or octant, and their
+// neighbours); the rest are k * 2^-53 as util::Prng draws them, and for u1
+// also values spread over every binade down to DBL_MIN.
+double edge_neighbour(std::mt19937& rng, double x)
+{
+    switch (rng() % 3u) {
+    case 0: return std::nextafter(x, 0.0);
+    case 1: return std::nextafter(x, 1.0);
+    default: return x;
+    }
+}
+
+double random_u53(std::mt19937& rng)
+{
+    const std::uint64_t bits = (std::uint64_t{rng()} << 32) | rng();
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
+double random_u1(std::mt19937& rng)
+{
+    static const double edges[] = {0x1.0p-53, std::numeric_limits<double>::min(),
+                                   std::nextafter(std::numeric_limits<double>::min(), 1.0),
+                                   1.0 - 0x1.0p-53, 0.5, std::sqrt(0.5)};
+    switch (rng() % 3u) {
+    case 0: return edges[rng() % std::size(edges)];
+    case 1: // [2^-(k+1), 2^-k) for k in [0, 1021]: every binade down to DBL_MIN
+        return std::ldexp(0.5 + 0.5 * random_u53(rng), -static_cast<int>(rng() % 1022u));
+    default: return std::max(random_u53(rng), 0x1.0p-53);
+    }
+}
+
+double random_u2(std::mt19937& rng)
+{
+    static const double edges[] = {0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875};
+    switch (rng() % 3u) {
+    case 0: return 1.0 - 0x1.0p-53;
+    case 1: {
+        const double edge = edges[rng() % std::size(edges)];
+        return edge == 0.0 ? edge : edge_neighbour(rng, edge);
+    }
+    default: return random_u53(rng);
+    }
+}
+
+PARITY_KERNEL(box_muller_f64)
+{
+    const int n = random_size(rng);
+    std::vector<double> u1(static_cast<std::size_t>(n));
+    std::vector<double> u2(static_cast<std::size_t>(n));
+    for (auto& u : u1) u = random_u1(rng);
+    for (auto& u : u2) u = random_u2(rng);
+    std::vector<double> want(2 * static_cast<std::size_t>(n));
+    std::vector<double> got(2 * static_cast<std::size_t>(n));
+    ref.box_muller_f64(u1.data(), u2.data(), want.data(), n);
+    tst.box_muller_f64(u1.data(), u2.data(), got.data(), n);
+    expect_bitwise_equal(want, got, "box_muller_f64");
+}
+
 // --- the differential fuzzer ------------------------------------------------
 
 class KernelParity : public ::testing::TestWithParam<Level> {};
@@ -229,6 +294,42 @@ TEST_P(KernelParity, VectorMatchesScalarBitForBit)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, KernelParity,
+                         ::testing::ValuesIn(inframe::simd::available_levels().begin(),
+                                             inframe::simd::available_levels().end()),
+                         [](const ::testing::TestParamInfo<Level>& info) {
+                             return std::string(inframe::simd::to_string(info.param));
+                         });
+
+// --- box_muller_f64 against libm ------------------------------------------
+
+class BoxMullerAccuracy : public ::testing::TestWithParam<Level> {};
+
+TEST_P(BoxMullerAccuracy, MatchesLibmWithin1e14)
+{
+    // 10^6 pairs in blocks of 1000 (an even block, so the vector levels
+    // run their full width; the fuzzer covers the tails).
+    const Kernels& k = inframe::simd::kernels_for(GetParam());
+    std::mt19937 rng(0xB0C5u);
+    constexpr int block = 1000;
+    std::vector<double> u1(block);
+    std::vector<double> u2(block);
+    std::vector<double> out(2 * block);
+    double worst = 0.0;
+    for (int b = 0; b < 1000; ++b) {
+        for (auto& u : u1) u = random_u1(rng);
+        for (auto& u : u2) u = random_u2(rng);
+        k.box_muller_f64(u1.data(), u2.data(), out.data(), block);
+        for (std::size_t i = 0; i < block; ++i) {
+            const double radius = std::sqrt(-2.0 * std::log(u1[i]));
+            const double angle = 2.0 * std::numbers::pi * u2[i];
+            worst = std::max({worst, std::fabs(out[2 * i] - radius * std::cos(angle)),
+                              std::fabs(out[2 * i + 1] - radius * std::sin(angle))});
+        }
+    }
+    EXPECT_LE(worst, 1e-14);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLevels, BoxMullerAccuracy,
                          ::testing::ValuesIn(inframe::simd::available_levels().begin(),
                                              inframe::simd::available_levels().end()),
                          [](const ::testing::TestParamInfo<Level>& info) {
