@@ -16,6 +16,7 @@
 #include "core/session.hpp"
 #include "core/stages.hpp"
 #include "channel/camera.hpp"
+#include "channel/impairment.hpp"
 #include "channel/link.hpp"
 #include "imgproc/filter.hpp"
 #include "imgproc/pool.hpp"
@@ -216,6 +217,26 @@ BENCHMARK(bm_sensor_noise)
         for (const simd::Level level : simd::available_levels()) b->Arg(static_cast<int>(level));
     })
     ->Unit(benchmark::kMillisecond);
+
+// Camera shake on one paper-rig capture (1280x720) at 1 thread, with 1 or
+// 3 channels (the argument), at carousel-overlap's sigma of 0.5 px. Each
+// iteration shakes the previous result again with the next capture
+// index; the replaced buffer goes back to the frame pool.
+void bm_shake_impairment(benchmark::State& state)
+{
+    const util::Parallel_scope threads(1);
+    util::Prng prng(7);
+    img::Imagef image(1280, 720, static_cast<int>(state.range(0)));
+    for (auto& v : image.values()) v = static_cast<float>(prng.next_double(0, 255));
+    channel::Shake_impairment shake(1, 0.5, 6.0);
+    std::int64_t capture = 0;
+    for (auto _ : state) {
+        shake.apply(image, capture++);
+        benchmark::DoNotOptimize(image.values().data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(bm_shake_impairment)->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond);
 
 void bm_reed_solomon_decode(benchmark::State& state)
 {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 namespace inframe::channel {
@@ -34,6 +35,25 @@ enum Stage_id : std::uint32_t {
     stage_occlusion = 5,
 };
 
+// Shared by Impairment_config::validate and the stage constructors, which
+// custom chains call directly.
+void check_shake(double sigma_px, double max_px)
+{
+    util::expects(std::isfinite(sigma_px) && sigma_px >= 0.0,
+                  "impairments: shake sigma must be finite and non-negative");
+    util::expects(std::isfinite(max_px) && max_px >= 0.0,
+                  "impairments: shake clamp must be finite and non-negative");
+}
+
+int rounded_tear_shift(double shift_px)
+{
+    util::expects(std::isfinite(shift_px)
+                      && std::fabs(std::round(shift_px))
+                             <= static_cast<double>(std::numeric_limits<int>::max()),
+                  "impairments: tear shift must be finite and round to an int");
+    return static_cast<int>(std::lround(shift_px));
+}
+
 } // namespace
 
 std::uint64_t impairment_draw_seed(std::uint64_t chain_seed, std::uint32_t stage_id,
@@ -57,13 +77,13 @@ void Impairment_config::validate() const
     util::expects(duplicate_probability >= 0.0 && duplicate_probability <= 1.0,
                   "impairments: duplicate probability must be in [0, 1]");
     util::expects(gain_drift_period > 0.0, "impairments: gain drift period must be positive");
-    util::expects(shake_sigma_px >= 0.0, "impairments: shake sigma must be non-negative");
-    util::expects(shake_max_px >= 0.0, "impairments: shake clamp must be non-negative");
+    check_shake(shake_sigma_px, shake_max_px);
     util::expects(occlusion_fraction >= 0.0 && occlusion_fraction < 1.0,
                   "impairments: occlusion fraction must be in [0, 1)");
     util::expects(occlusion_count >= 1, "impairments: occlusion count must be positive");
     util::expects(tear_probability >= 0.0 && tear_probability <= 1.0,
                   "impairments: tear probability must be in [0, 1]");
+    rounded_tear_shift(tear_shift_px);
 }
 
 void Impairment_chain::add(std::unique_ptr<Impairment> stage)
@@ -203,6 +223,7 @@ Capture_fate Exposure_drift_impairment::apply(img::Imagef& image, std::int64_t c
 Shake_impairment::Shake_impairment(std::uint64_t seed, double sigma_px, double max_px)
     : seed_(seed), sigma_px_(sigma_px), max_px_(max_px)
 {
+    check_shake(sigma_px, max_px);
 }
 
 void Shake_impairment::jitter_at(std::int64_t capture_index, double& dx, double& dy) const
@@ -236,7 +257,7 @@ Capture_fate Shake_impairment::apply(img::Imagef& image, std::int64_t capture_in
 
 Tear_impairment::Tear_impairment(std::uint64_t seed, double probability, double shift_px)
     : seed_(seed), probability_(probability),
-      shift_px_(static_cast<int>(std::lround(shift_px)))
+      shift_px_(rounded_tear_shift(shift_px))
 {
 }
 
@@ -258,7 +279,10 @@ Capture_fate Tear_impairment::apply(img::Imagef& image, std::int64_t capture_ind
     telemetry::emit_event({"impairment", "tear", capture_index, static_cast<double>(seam)});
     const int channels = image.channels();
     const int row_values = image.width() * channels;
-    const int shift_values = shift_px_ * channels;
+    // A shift of a row or more leaves only edge-clamped values, as a
+    // shift of width - 1 does; the copy loops below stay inside the row.
+    const int shift_values =
+        std::clamp(shift_px_, 1 - image.width(), image.width() - 1) * channels;
     // Rows below the seam shift horizontally (edge-clamped): the bottom
     // band came from the next scanout position of a mid-swap buffer.
     util::parallel_for(seam, image.height(), 32, [&](std::int64_t y0, std::int64_t y1) {

@@ -75,6 +75,7 @@ struct Impairment_config {
     // --- translational camera shake -----------------------------------
     // Per-capture jitter of the screen image on the sensor, modelled as a
     // translation applied on top of the (uncalibrated) viewing homography.
+    // Both must be finite and non-negative.
     double shake_sigma_px = 0.0;          // stddev of per-axis jitter
     double shake_max_px = 6.0;            // hard clamp per axis
 
@@ -91,7 +92,9 @@ struct Impairment_config {
     // --- rolling-shutter tear -----------------------------------------
     // Probability a capture shows a tear seam: rows below a random seam
     // row are shifted horizontally by tear_shift_px (display/camera clock
-    // skew delivering a mid-scanout buffer swap).
+    // skew delivering a mid-scanout buffer swap). The shift is rounded to
+    // whole pixels and must be finite and round to an int; a shift of the
+    // row's width or more leaves only the edge value below the seam.
     double tear_probability = 0.0;
     double tear_shift_px = 8.0;
 
@@ -167,7 +170,8 @@ private:
     double offset_dn_;
 };
 
-// Per-capture translational jitter.
+// Per-capture translational jitter. Throws Contract_violation unless sigma
+// and the clamp are finite and non-negative.
 class Shake_impairment final : public Impairment {
 public:
     Shake_impairment(std::uint64_t seed, double sigma_px, double max_px);
@@ -183,7 +187,8 @@ private:
     double max_px_;
 };
 
-// Horizontal tear seam from display/camera clock skew.
+// Horizontal tear seam from display/camera clock skew. Throws
+// Contract_violation unless the shift is finite and rounds to an int.
 class Tear_impairment final : public Impairment {
 public:
     Tear_impairment(std::uint64_t seed, double probability, double shift_px);

@@ -14,7 +14,8 @@ Screen_camera_link::Screen_camera_link(Display_params display, Camera_params cam
                                        int screen_width, int screen_height)
     : display_(display), camera_params_(camera), optics_(camera, screen_width, screen_height)
 {
-    util::expects(camera.phase_offset_s >= 0.0, "camera phase offset must be non-negative");
+    util::expects(std::isfinite(camera.phase_offset_s) && camera.phase_offset_s >= 0.0,
+                  "camera phase offset must be finite and non-negative");
 }
 
 Screen_camera_link::Screen_camera_link(Display_params display, Camera_params camera,

@@ -13,7 +13,8 @@
 namespace inframe::img {
 
 // 3x3 projective transform, row-major. Maps (x, y) -> (x', y') via
-// homogeneous coordinates.
+// homogeneous coordinates. Every entry must be finite: construction,
+// composition and inversion throw Contract_violation otherwise.
 class Homography {
 public:
     // Identity by default.
@@ -55,7 +56,9 @@ float sample_bilinear(const Imagef& src, float x, float y, int c = 0);
 
 // Warps src into an out_w x out_h image: each destination pixel samples
 // src at dst_to_src(x, y) with bilinear interpolation; samples falling
-// outside src use clamp-to-edge.
+// outside src use clamp-to-edge. An axis-aligned dst_to_src (translation,
+// axis scale) takes a per-axis tap plan with the same bytes as the
+// per-pixel loop.
 Imagef warp_perspective(const Imagef& src, const Homography& dst_to_src, int out_w, int out_h);
 
 } // namespace inframe::img

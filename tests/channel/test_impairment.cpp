@@ -8,11 +8,14 @@
 #include "imgproc/metrics.hpp"
 #include "util/contract.hpp"
 #include "util/crc32.hpp"
+#include "util/prng.hpp"
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 namespace {
@@ -59,6 +62,32 @@ TEST(Impairment, ConfigValidationRejectsBadProbabilities)
     config = {};
     config.occlusion_fraction = 1.0;
     EXPECT_THROW(make_impairment_chain(config), util::Contract_violation);
+}
+
+TEST(Impairment, ConfigValidationRejectsNonFiniteShakeAndTear)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad : {inf, -inf, nan, -1.0}) {
+        Impairment_config config;
+        config.shake_sigma_px = bad;
+        EXPECT_THROW(make_impairment_chain(config), util::Contract_violation) << bad;
+        config = {};
+        config.shake_sigma_px = 1.0;
+        config.shake_max_px = bad;
+        EXPECT_THROW(make_impairment_chain(config), util::Contract_violation) << bad;
+        // Custom chains build the stages directly.
+        EXPECT_THROW(Shake_impairment(1, bad, 6.0), util::Contract_violation) << bad;
+        EXPECT_THROW(Shake_impairment(1, 1.0, bad), util::Contract_violation) << bad;
+    }
+    // Shifts whose rounded value is not an int.
+    for (const double bad : {inf, -inf, nan, 3e9, -3e9}) {
+        Impairment_config config;
+        config.tear_probability = 0.5;
+        config.tear_shift_px = bad;
+        EXPECT_THROW(make_impairment_chain(config), util::Contract_violation) << bad;
+        EXPECT_THROW(Tear_impairment(1, 0.5, bad), util::Contract_violation) << bad;
+    }
 }
 
 TEST(Impairment, TimingDropsAllAtProbabilityOne)
@@ -130,6 +159,56 @@ TEST(Impairment, ShakeTranslatesImage)
     }
 }
 
+img::Imagef textured_image(int w, int h, int channels, std::uint64_t seed)
+{
+    util::Prng prng(seed);
+    img::Imagef image(w, h, channels);
+    for (auto& v : image.values()) v = static_cast<float>(prng.next_double(0.0, 255.0));
+    return image;
+}
+
+// Shake output frozen as CRC32s over the float bytes of eight consecutive
+// shaken captures: a paper-rig 1280x720 capture and a 3-channel capture
+// of odd size, at the perfbench sigma (0.5 px) and at a sigma the 6 px
+// clamp binds on. Any change to the resampler that moves a value moves
+// these.
+TEST(Impairment, ShakeOutputMatchesFrozenCrcs)
+{
+    struct Case {
+        const char* name;
+        int width;
+        int height;
+        int channels;
+        double sigma_px;
+        std::uint32_t crc;
+    };
+    const Case cases[] = {
+        {"1280x720 sigma 0.5", 1280, 720, 1, 0.5, 0xfdabc507u},
+        {"1280x720 sigma 20", 1280, 720, 1, 20.0, 0xc5aae46bu},
+        {"97x55x3 sigma 0.5", 97, 55, 3, 0.5, 0xcc53e141u},
+        {"97x55x3 sigma 20", 97, 55, 3, 20.0, 0xe7267ac4u},
+    };
+    for (const auto& c : cases) {
+        Shake_impairment shake(21, c.sigma_px, 6.0);
+        const auto original = textured_image(c.width, c.height, c.channels, 5);
+        util::Crc32 crc;
+        bool clamped = false;
+        for (std::int64_t k = 0; k < 8; ++k) {
+            double dx = 0.0;
+            double dy = 0.0;
+            shake.jitter_at(k, dx, dy);
+            clamped = clamped || std::abs(dx) == 6.0 || std::abs(dy) == 6.0;
+            auto image = original;
+            ASSERT_EQ(shake.apply(image, k), Capture_fate::delivered);
+            const auto values = image.values();
+            crc.update({reinterpret_cast<const std::uint8_t*>(values.data()),
+                        values.size() * sizeof(float)});
+        }
+        EXPECT_EQ(crc.value(), c.crc) << c.name << ": got 0x" << std::hex << crc.value();
+        EXPECT_EQ(clamped, c.sigma_px > 6.0) << c.name << ": the clamp must bind only at sigma 20";
+    }
+}
+
 TEST(Impairment, TearShiftsRowsBelowSeamOnly)
 {
     Tear_impairment tear(13, 1.0, 4.0);
@@ -147,6 +226,27 @@ TEST(Impairment, TearShiftsRowsBelowSeamOnly)
     const int y = seam;
     for (int x = 8; x < image.width(); ++x) {
         EXPECT_EQ(image(x, y), original(x - 4, y)) << "x " << x;
+    }
+}
+
+TEST(Impairment, TearWiderThanTheRowFillsWithTheEdge)
+{
+    // A shift past the row's width leaves only edge-clamped values, the
+    // same as a shift of width - 1, in both directions.
+    const auto original = gradient_image();
+    const int w = original.width();
+    for (const double shift : {500.0, -500.0}) {
+        Tear_impairment wide(13, 1.0, shift);
+        Tear_impairment widest_in_row(13, 1.0, shift > 0 ? w - 1 : 1 - w);
+        auto a = gradient_image();
+        auto b = gradient_image();
+        ASSERT_EQ(wide.apply(a, 0), Capture_fate::delivered);
+        ASSERT_EQ(widest_in_row.apply(b, 0), Capture_fate::delivered);
+        EXPECT_EQ(image_crc(a), image_crc(b)) << shift;
+        const int seam = wide.tear_row_at(0, a.height());
+        ASSERT_GE(seam, 0);
+        const int edge = shift > 0 ? 0 : w - 1;
+        for (int x = 0; x < w; ++x) EXPECT_EQ(a(x, seam), original(edge, seam)) << x;
     }
 }
 

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -384,6 +385,20 @@ TEST(Link, RowsProjectedCountsOnlyOverlappedFrames)
     camera.phase_offset_s = 0.0;
     camera.readout_s = 0.9 / 120.0;
     EXPECT_EQ(rows_projected_by_one_capture(camera), 12u + 5u);
+}
+
+TEST(Link, NonFinitePhaseOffsetRejected)
+{
+    // +Inf once passed the sign check, and the link then never completed
+    // a capture.
+    for (const double offset :
+         {std::numeric_limits<double>::infinity(), std::numeric_limits<double>::quiet_NaN()}) {
+        auto camera = ideal_camera();
+        camera.phase_offset_s = offset;
+        EXPECT_THROW(Screen_camera_link(ideal_display(), camera, screen_w, screen_h),
+                     inframe::util::Contract_violation)
+            << offset;
+    }
 }
 
 TEST(Link, EmptySequenceRejected)

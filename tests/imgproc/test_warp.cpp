@@ -4,8 +4,16 @@
 #include "imgproc/image_ops.hpp"
 #include "imgproc/metrics.hpp"
 #include "util/contract.hpp"
+#include "util/prng.hpp"
+#include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -93,6 +101,25 @@ TEST(Homography, CompositionAppliesRightToLeft)
     EXPECT_DOUBLE_EQ(y, 2.0);
 }
 
+TEST(Homography, NonFiniteEntriesRejected)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(Homography::translation(nan, 0.0), Contract_violation);
+    EXPECT_THROW(Homography::translation(0.0, -inf), Contract_violation);
+    EXPECT_THROW(Homography::scale(inf, 1.0), Contract_violation);
+    EXPECT_THROW(Homography({1, 0, 0, 0, 1, 0, 0, 0, nan}), Contract_violation);
+    EXPECT_THROW(Homography::rect_to_quad(64.0, 32.0, {0, 0, nan, 0, 64, 32, 0, 32}),
+                 Contract_violation);
+    // A width so small that 1 / w overflows.
+    EXPECT_THROW(Homography::rect_to_quad(1e-320, 32.0, {0, 0, 64, 0, 64, 32, 0, 32}),
+                 Contract_violation);
+    // Finite factors whose product or inverse overflows.
+    const auto big = Homography::scale(1e200, 1e200);
+    EXPECT_THROW(big * big, Contract_violation);
+    EXPECT_THROW(big.inverse(), Contract_violation);
+}
+
 TEST(Homography, CollinearQuadRejected)
 {
     const std::array<double, 8> degenerate = {0, 0, 1, 1, 2, 2, 3, 3};
@@ -148,6 +175,83 @@ TEST(WarpPerspective, KeystoneRoundTripPreservesContent)
     const auto center_original = card.crop(24, 14, 48, 26);
     const auto center_restored = restored.crop(24, 14, 48, 26);
     EXPECT_GT(psnr(center_original, center_restored), 18.0);
+}
+
+// The per-pixel loop warp_perspective ran for every homography before it
+// gained a per-axis path for axis-aligned ones: a point apply and a clamped
+// bilinear sample per destination pixel.
+Imagef warp_per_pixel(const Imagef& src, const Homography& dst_to_src, int out_w, int out_h)
+{
+    Imagef out(out_w, out_h, src.channels());
+    for (int y = 0; y < out_h; ++y) {
+        for (int x = 0; x < out_w; ++x) {
+            double sx = 0.0;
+            double sy = 0.0;
+            dst_to_src.apply(static_cast<double>(x), static_cast<double>(y), sx, sy);
+            for (int c = 0; c < src.channels(); ++c) {
+                out(x, y, c) =
+                    sample_bilinear(src, static_cast<float>(sx), static_cast<float>(sy), c);
+            }
+        }
+    }
+    return out;
+}
+
+TEST(WarpPerspective, AxisAlignedPathMatchesProjectiveLoop)
+{
+    struct Case {
+        std::string name;
+        Homography dst_to_src;
+        int out_w;
+        int out_h;
+    };
+    std::vector<Case> cases = {
+        {"identity", Homography::identity(), 61, 37},
+        {"integer shift", Homography::translation(3.0, -2.0), 61, 37},
+        {"clamped +6", Homography::translation(6.0, 6.0), 61, 37},
+        {"clamped -6", Homography::translation(-6.0, -6.0), 61, 37},
+        {"beyond the edges", Homography::translation(-75.0, 41.5), 61, 37},
+        {"1e-9 px", Homography::translation(1e-9, -1e-9), 61, 37},
+        {"half pixel", Homography::translation(0.5, -0.5), 61, 37},
+        {"quarter pixels", Homography::translation(2.25, -3.75), 61, 37},
+        {"scale and translate", Homography::translation(1.3, -0.7) * Homography::scale(0.61, 1.7),
+         83, 29},
+        {"mirror", Homography::translation(60.0, 0.25) * Homography::scale(-1.0, 1.0), 61, 37},
+        {"w != 1", Homography({2.0, 0.0, 3.0, 0.0, 1.5, -1.0, 0.0, 0.0, 4.0}), 97, 55},
+    };
+    inframe::util::Prng prng(17);
+    for (int i = 0; i < 24; ++i) {
+        const double dx = prng.next_gaussian(0.0, 2.0);
+        const double dy = prng.next_gaussian(0.0, 2.0);
+        cases.push_back({"random shift " + std::to_string(i), Homography::translation(dx, dy),
+                         61, 37});
+    }
+
+    // 1 and 3 channels; the single-pixel source clamps every tap to one
+    // pixel.
+    std::vector<Imagef> sources;
+    for (const auto& [w, h] : {std::pair{61, 37}, std::pair{1, 1}}) {
+        for (const int channels : {1, 3}) {
+            Imagef src(w, h, channels);
+            for (auto& v : src.values()) v = static_cast<float>(prng.next_double(-20.0, 255.0));
+            sources.push_back(std::move(src));
+        }
+    }
+    for (const auto& src : sources) {
+        const std::string shape = std::to_string(src.width()) + "x" + std::to_string(src.height())
+                                  + "x" + std::to_string(src.channels());
+        for (const auto& c : cases) {
+            const Imagef expected = warp_per_pixel(src, c.dst_to_src, c.out_w, c.out_h);
+            for (const int threads : {1, 3, 4}) {
+                const inframe::util::Parallel_scope scope(threads);
+                const Imagef got = warp_perspective(src, c.dst_to_src, c.out_w, c.out_h);
+                ASSERT_TRUE(got.same_shape(expected)) << c.name;
+                EXPECT_EQ(0, std::memcmp(got.values().data(), expected.values().data(),
+                                         expected.value_count() * sizeof(float)))
+                    << c.name << ", " << shape << " source, " << threads << " threads";
+            }
+        }
+    }
 }
 
 TEST(WarpPerspective, OutputSizeValidation)
