@@ -283,8 +283,9 @@ Capture_fate Tear_impairment::apply(img::Imagef& image, std::int64_t capture_ind
     // shift of width - 1 does; the copy loops below stay inside the row.
     const int shift_values =
         std::clamp(shift_px_, 1 - image.width(), image.width() - 1) * channels;
-    // Rows below the seam shift horizontally (edge-clamped): the bottom
-    // band came from the next scanout position of a mid-swap buffer.
+    // Rows below the seam shift horizontally (edge-clamped, each channel
+    // from the edge pixel's own channel): the bottom band came from the
+    // next scanout position of a mid-swap buffer.
     util::parallel_for(seam, image.height(), 32, [&](std::int64_t y0, std::int64_t y1) {
         for (std::int64_t yy = y0; yy < y1; ++yy) {
             auto row = image.row(static_cast<int>(yy));
@@ -295,7 +296,7 @@ Capture_fate Tear_impairment::apply(img::Imagef& image, std::int64_t capture_ind
                 }
                 for (int i = 0; i < shift_values; ++i) {
                     row[static_cast<std::size_t>(i)] =
-                        row[static_cast<std::size_t>(shift_values)];
+                        row[static_cast<std::size_t>(shift_values + i % channels)];
                 }
             } else {
                 for (int i = 0; i < row_values + shift_values; ++i) {
@@ -303,8 +304,8 @@ Capture_fate Tear_impairment::apply(img::Imagef& image, std::int64_t capture_ind
                         row[static_cast<std::size_t>(i - shift_values)];
                 }
                 for (int i = row_values + shift_values; i < row_values; ++i) {
-                    row[static_cast<std::size_t>(i)] =
-                        row[static_cast<std::size_t>(row_values + shift_values - 1)];
+                    row[static_cast<std::size_t>(i)] = row[static_cast<std::size_t>(
+                        row_values + shift_values - channels + i % channels)];
                 }
             }
         }

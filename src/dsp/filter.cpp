@@ -2,55 +2,10 @@
 
 #include "util/contract.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 namespace inframe::dsp {
-
-std::vector<double> design_lowpass_fir(double cutoff_hz, double sample_rate, int taps)
-{
-    util::expects(sample_rate > 0.0, "FIR sample rate must be positive");
-    util::expects(cutoff_hz > 0.0 && cutoff_hz < sample_rate / 2.0,
-                  "FIR cutoff must be below Nyquist");
-    util::expects(taps >= 3 && taps % 2 == 1, "FIR taps must be odd and >= 3");
-
-    const double fc = cutoff_hz / sample_rate; // normalized cutoff
-    const int mid = taps / 2;
-    std::vector<double> kernel(static_cast<std::size_t>(taps));
-    double sum = 0.0;
-    for (int n = 0; n < taps; ++n) {
-        const int k = n - mid;
-        const double sinc = k == 0 ? 2.0 * fc
-                                   : std::sin(2.0 * std::numbers::pi * fc * k)
-                                         / (std::numbers::pi * k);
-        const double hamming =
-            0.54 - 0.46 * std::cos(2.0 * std::numbers::pi * n / (taps - 1));
-        kernel[static_cast<std::size_t>(n)] = sinc * hamming;
-        sum += kernel[static_cast<std::size_t>(n)];
-    }
-    for (auto& k : kernel) k /= sum; // unity DC gain
-    return kernel;
-}
-
-std::vector<double> fir_filter(std::span<const double> signal, std::span<const double> kernel)
-{
-    util::expects(!kernel.empty() && kernel.size() % 2 == 1, "FIR kernel must be odd-length");
-    if (signal.empty()) return {};
-    const int mid = static_cast<int>(kernel.size() / 2);
-    const int n = static_cast<int>(signal.size());
-    std::vector<double> out(signal.size());
-    for (int i = 0; i < n; ++i) {
-        double acc = 0.0;
-        for (int k = 0; k < static_cast<int>(kernel.size()); ++k) {
-            int j = i + mid - k;
-            j = std::clamp(j, 0, n - 1); // edge replication
-            acc += kernel[static_cast<std::size_t>(k)] * signal[static_cast<std::size_t>(j)];
-        }
-        out[static_cast<std::size_t>(i)] = acc;
-    }
-    return out;
-}
 
 Butterworth_lowpass::Butterworth_lowpass(double cutoff_hz, double sample_rate)
 {

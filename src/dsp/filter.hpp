@@ -2,7 +2,7 @@
 //
 // Two users: (1) the paper verifies the smoothing waveform by passing it
 // through an "electronic low-pass filter" (Fig. 5) — reproduced with the
-// FIR/Butterworth filters here; (2) the human-vision temporal model in
+// Butterworth filter here; (2) the human-vision temporal model in
 // src/hvs is built on the exponential cascade.
 #pragma once
 
@@ -11,14 +11,6 @@
 #include <vector>
 
 namespace inframe::dsp {
-
-// Windowed-sinc (Hamming) low-pass FIR design.
-// cutoff_hz must be in (0, sample_rate/2); taps must be odd and >= 3.
-std::vector<double> design_lowpass_fir(double cutoff_hz, double sample_rate, int taps);
-
-// Convolves signal with kernel, zero-phase alignment (output delayed by
-// (taps-1)/2 is compensated by edge replication). Output length == input.
-std::vector<double> fir_filter(std::span<const double> signal, std::span<const double> kernel);
 
 // Second-order Butterworth low-pass via bilinear transform.
 class Butterworth_lowpass {

@@ -53,14 +53,4 @@ double band_energy(std::span<const double> signal, double sample_rate, double lo
     return total;
 }
 
-double remove_mean(std::span<double> signal)
-{
-    if (signal.empty()) return 0.0;
-    double sum = 0.0;
-    for (const double v : signal) sum += v;
-    const double mean = sum / static_cast<double>(signal.size());
-    for (double& v : signal) v -= mean;
-    return mean;
-}
-
 } // namespace inframe::dsp

@@ -21,7 +21,4 @@ double dominant_frequency(std::span<const double> signal, double sample_rate);
 double band_energy(std::span<const double> signal, double sample_rate, double lo_hz,
                    double hi_hz);
 
-// Removes the mean in place and returns the removed value.
-double remove_mean(std::span<double> signal);
-
 } // namespace inframe::dsp

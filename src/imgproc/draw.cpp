@@ -78,17 +78,6 @@ Imagef horizontal_gradient(int width, int height, float left, float right)
     return out;
 }
 
-Imagef vertical_gradient(int width, int height, float top, float bottom)
-{
-    Imagef out(width, height, 1);
-    for (int y = 0; y < height; ++y) {
-        const float t = height > 1 ? static_cast<float>(y) / static_cast<float>(height - 1) : 0.0f;
-        const float v = top + (bottom - top) * t;
-        for (int x = 0; x < width; ++x) out(x, y) = v;
-    }
-    return out;
-}
-
 namespace {
 
 // 5x7 glyphs, one byte per row, low 5 bits used (bit 4 = leftmost column).

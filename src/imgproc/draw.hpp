@@ -20,9 +20,6 @@ Imagef checkerboard(int width, int height, int cell, float a, float b, int phase
 // Horizontal linear gradient from `left` to `right`.
 Imagef horizontal_gradient(int width, int height, float left, float right);
 
-// Vertical linear gradient from `top` to `bottom`.
-Imagef vertical_gradient(int width, int height, float top, float bottom);
-
 // Renders a 5x7 bitmap digit/letter string scaled by `scale` at (x0, y0).
 // Supports [0-9A-Z .:-]; unknown characters render as blanks.
 void draw_text(Imagef& image, int x0, int y0, const char* text, float value, int scale = 1);

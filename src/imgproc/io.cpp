@@ -14,25 +14,6 @@ namespace {
     throw std::runtime_error("pnm: " + path + ": " + why);
 }
 
-// Skips whitespace and '#' comments between header tokens.
-int read_header_int(std::istream& in)
-{
-    for (;;) {
-        const int ch = in.peek();
-        if (ch == '#') {
-            std::string line;
-            std::getline(in, line);
-        } else if (std::isspace(ch)) {
-            in.get();
-        } else {
-            break;
-        }
-    }
-    int value = 0;
-    in >> value;
-    return value;
-}
-
 } // namespace
 
 void write_pnm(const Image8& image, const std::string& path)
@@ -50,33 +31,6 @@ void write_pnm(const Image8& image, const std::string& path)
 void write_pnm(const Imagef& image, const std::string& path)
 {
     write_pnm(to_u8(image), path);
-}
-
-Image8 read_pnm(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) fail(path, "cannot open for reading");
-    std::string magic;
-    in >> magic;
-    int channels = 0;
-    if (magic == "P5") {
-        channels = 1;
-    } else if (magic == "P6") {
-        channels = 3;
-    } else {
-        fail(path, "unsupported magic '" + magic + "'");
-    }
-    const int width = read_header_int(in);
-    const int height = read_header_int(in);
-    const int maxval = read_header_int(in);
-    if (width <= 0 || height <= 0) fail(path, "bad dimensions");
-    if (maxval <= 0 || maxval > 255) fail(path, "unsupported maxval");
-    in.get(); // single whitespace byte after maxval
-    Image8 image(width, height, channels);
-    in.read(reinterpret_cast<char*>(image.values().data()),
-            static_cast<std::streamsize>(image.value_count()));
-    if (static_cast<std::size_t>(in.gcount()) != image.value_count()) fail(path, "truncated data");
-    return image;
 }
 
 } // namespace inframe::img

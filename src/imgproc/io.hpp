@@ -15,7 +15,4 @@ void write_pnm(const Image8& image, const std::string& path);
 // Convenience: round/clamp a float image and write it.
 void write_pnm(const Imagef& image, const std::string& path);
 
-// Reads a binary P5/P6 file (maxval <= 255). Throws on malformed input.
-Image8 read_pnm(const std::string& path);
-
 } // namespace inframe::img

@@ -12,7 +12,6 @@
 #include "core/decoder.hpp"     // Inframe_decoder, Detector
 #include "core/session.hpp"     // Inframe_sender / Inframe_receiver, Frame_codec
 #include "core/sync.hpp"        // Phase_estimator, Synced_decoder
-#include "core/calibration.hpp" // viewing-geometry bootstrap
 #include "core/link_runner.hpp" // experiment harnesses
 #include "core/pipeline.hpp"    // stage-graph runtime (Pipeline, Stage)
 #include "core/stages.hpp"      // Video/Encode/Link/Decode/Send/Receive stages

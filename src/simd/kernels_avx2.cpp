@@ -34,6 +34,8 @@
 #include <cstdint>
 
 namespace inframe::simd {
+// File-local: reached only through the table built below.
+namespace {
 namespace avx2 {
 
 void absdiff_f32(const float* a, const float* b, float* out, int n)
@@ -139,8 +141,6 @@ void box_blur_h(const float* const* src, float* const* dst, int lanes, int width
     }
 }
 
-namespace {
-
 using namespace box_muller;
 
 __m256d splat(double x) { return _mm256_set1_pd(x); }
@@ -210,8 +210,6 @@ __m256d kernel_cos(__m256d x, __m256d y)
                       _mm256_sub_pd(_mm256_mul_pd(z, r), _mm256_mul_pd(x, y))));
 }
 
-} // namespace
-
 void box_muller_f64(const double* u1, const double* u2, double* out, int n)
 {
     int i = 0;
@@ -249,6 +247,7 @@ void box_muller_f64(const double* u1, const double* u2, double* out, int n)
 }
 
 } // namespace avx2
+} // namespace
 
 namespace detail {
 

@@ -12,6 +12,8 @@
 #include <cmath>
 
 namespace inframe::simd {
+// File-local: reached only through the table built below.
+namespace {
 namespace neon {
 
 void absdiff_f32(const float* a, const float* b, float* out, int n)
@@ -83,6 +85,7 @@ void vblur_store(const double* acc, float* out, int n, float norm)
 }
 
 } // namespace neon
+} // namespace
 
 namespace detail {
 

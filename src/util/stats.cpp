@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 namespace inframe::util {
 
@@ -56,76 +55,9 @@ double Running_stats::max() const
     return count_ > 0 ? max_ : std::numeric_limits<double>::quiet_NaN();
 }
 
-double Running_stats::ci95_halfwidth() const
-{
-    if (count_ < 2) return 0.0;
-    return 1.96 * stddev() / std::sqrt(static_cast<double>(count_));
-}
-
 void Running_stats::reset()
 {
     *this = Running_stats{};
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0)
-{
-    expects(hi > lo, "Histogram range must be non-empty");
-    expects(bins > 0, "Histogram needs at least one bin");
-}
-
-void Histogram::add(double x)
-{
-    ++total_;
-    if (x < lo_) {
-        ++underflow_;
-        return;
-    }
-    if (x >= hi_) {
-        ++overflow_;
-        return;
-    }
-    const auto bin = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size()));
-    ++counts_[std::min(bin, counts_.size() - 1)];
-}
-
-double Histogram::bin_center(std::size_t i) const
-{
-    expects(i < counts_.size(), "Histogram bin index out of range");
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    return lo_ + (static_cast<double>(i) + 0.5) * width;
-}
-
-double Histogram::quantile(double q) const
-{
-    expects(q >= 0.0 && q <= 1.0, "Histogram quantile must be in [0,1]");
-    if (total_ == 0) return lo_;
-    const double target = q * static_cast<double>(total_);
-    double cumulative = static_cast<double>(underflow_);
-    if (cumulative >= target) return lo_;
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const double next = cumulative + static_cast<double>(counts_[i]);
-        if (next >= target && counts_[i] > 0) {
-            const double frac = (target - cumulative) / static_cast<double>(counts_[i]);
-            return lo_ + (static_cast<double>(i) + frac) * width;
-        }
-        cumulative = next;
-    }
-    return hi_;
-}
-
-std::string Histogram::to_string(int width) const
-{
-    std::ostringstream out;
-    std::size_t peak = 1;
-    for (const auto c : counts_) peak = std::max(peak, c);
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-        const auto bar = static_cast<int>(static_cast<double>(counts_[i]) / static_cast<double>(peak) * width);
-        out << bin_center(i) << "\t" << counts_[i] << "\t" << std::string(static_cast<std::size_t>(bar), '#')
-            << "\n";
-    }
-    return out.str();
 }
 
 double median(std::vector<double> values)

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace inframe::util {
@@ -24,9 +23,6 @@ public:
     double max() const;
     double sum() const { return sum_; }
 
-    // Half-width of the normal-approximation 95% confidence interval.
-    double ci95_halfwidth() const;
-
     void reset();
 
 private:
@@ -36,29 +32,6 @@ private:
     double min_ = 0.0;
     double max_ = 0.0;
     double sum_ = 0.0;
-};
-
-// Fixed-range histogram for distribution summaries (noise levels, scores).
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x);
-    std::size_t total() const { return total_; }
-    std::size_t bin_count() const { return counts_.size(); }
-    std::size_t count_in_bin(std::size_t i) const { return counts_.at(i); }
-    double bin_center(std::size_t i) const;
-    // Value below which `q` (0..1) of the mass lies, linearly interpolated.
-    double quantile(double q) const;
-    std::string to_string(int width = 40) const;
-
-private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t underflow_ = 0;
-    std::size_t overflow_ = 0;
-    std::size_t total_ = 0;
 };
 
 // Median of a copy of the data (handy for robust thresholds).

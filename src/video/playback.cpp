@@ -19,21 +19,7 @@ int Playback_schedule::repeats_per_video_frame() const
 std::int64_t Playback_schedule::video_frame_for_display(std::int64_t display_index) const
 {
     util::expects(display_index >= 0, "display index must be non-negative");
-    util::expects(display_fps > 0.0 && video_fps > 0.0, "playback rates must be positive");
-    const double ratio = display_fps / video_fps;
-    const int repeats = static_cast<int>(std::lround(ratio));
-    if (std::fabs(ratio - repeats) < 1e-9 && repeats >= 1) {
-        // Integer ratio (the paper's 120/30 rig): exact division, no
-        // floating-point drift at any index.
-        return display_index / repeats;
-    }
-    // Non-integer ratio (e.g. 120 Hz display showing 23.976 fps film):
-    // show the video frame whose presentation interval contains this
-    // refresh — the 3:2-pulldown generalization. The epsilon absorbs
-    // cases where j * video_fps / display_fps lands a hair under an
-    // integer boundary (j * 23.976 / 120 style rationals).
-    return static_cast<std::int64_t>(
-        std::floor(static_cast<double>(display_index) * video_fps / display_fps + 1e-9));
+    return display_index / repeats_per_video_frame();
 }
 
 double Playback_schedule::display_time(std::int64_t display_index) const

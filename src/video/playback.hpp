@@ -19,10 +19,9 @@ struct Playback_schedule {
     // fixed repeat count (the encoder's tau cadence) require one.
     int repeats_per_video_frame() const;
 
-    // Video frame shown during the given display frame. Supports
-    // non-integer ratios (e.g. 120 Hz display, 23.976 fps film) by
-    // holding each video frame for its presentation interval, so
-    // repeat counts alternate 3:2-pulldown style.
+    // Video frame shown during the given display frame: exact integer
+    // division by repeats_per_video_frame(), so it throws for the same
+    // non-integer ratios.
     std::int64_t video_frame_for_display(std::int64_t display_index) const;
 
     // Display timestamp in seconds.

@@ -2,7 +2,6 @@
 
 #include "imgproc/draw.hpp"
 #include "imgproc/image_ops.hpp"
-#include "imgproc/io.hpp"
 #include "util/contract.hpp"
 #include "util/prng.hpp"
 #include "util/thread_pool.hpp"
@@ -85,7 +84,8 @@ Solid_video::Solid_video(int width, int height, float level, double fps)
     : width_(width), height_(height), level_(level), fps_(fps)
 {
     util::expects(width > 0 && height > 0, "Solid_video dimensions must be positive");
-    util::expects(fps > 0.0, "Solid_video fps must be positive");
+    util::expects(std::isfinite(level), "Solid_video level must be finite");
+    util::expects(std::isfinite(fps) && fps > 0.0, "Solid_video fps must be positive and finite");
 }
 
 img::Imagef Solid_video::frame(std::int64_t index) const
@@ -101,24 +101,11 @@ std::string Solid_video::name() const
     return out.str();
 }
 
-Still_video::Still_video(img::Imagef image, std::string name, double fps)
-    : image_(std::move(image)), name_(std::move(name)), fps_(fps)
-{
-    util::expects(!image_.empty(), "Still_video requires a non-empty image");
-    util::expects(fps > 0.0, "Still_video fps must be positive");
-}
-
-img::Imagef Still_video::frame(std::int64_t index) const
-{
-    util::expects(index >= 0, "frame index must be non-negative");
-    return image_;
-}
-
 Sunrise_video::Sunrise_video(int width, int height, double fps, std::uint64_t seed)
     : width_(width), height_(height), fps_(fps), seed_(seed)
 {
     util::expects(width > 0 && height > 0, "Sunrise_video dimensions must be positive");
-    util::expects(fps > 0.0, "Sunrise_video fps must be positive");
+    util::expects(std::isfinite(fps) && fps > 0.0, "Sunrise_video fps must be positive and finite");
     // The first row the sky test `y < 0.62 * height` rejects.
     ground_row_ = static_cast<int>(std::ceil(0.62 * height_));
     const auto w = static_cast<std::size_t>(width_);
@@ -209,7 +196,10 @@ Moving_bars_video::Moving_bars_video(int width, int height, int bar_width,
     util::expects(width > 0 && height > 0, "Moving_bars_video dimensions must be positive");
     util::expects(bar_width > 0, "Moving_bars_video bar width must be positive");
     util::expects(std::isfinite(speed_px_per_frame), "Moving_bars_video speed must be finite");
-    util::expects(fps > 0.0, "Moving_bars_video fps must be positive");
+    util::expects(std::isfinite(lo) && std::isfinite(hi),
+                  "Moving_bars_video levels must be finite");
+    util::expects(std::isfinite(fps) && fps > 0.0,
+                  "Moving_bars_video fps must be positive and finite");
 }
 
 img::Imagef Moving_bars_video::frame(std::int64_t index) const
@@ -233,8 +223,10 @@ Noise_video::Noise_video(int width, int height, float mean_level, float stddev, 
       seed_(seed)
 {
     util::expects(width > 0 && height > 0, "Noise_video dimensions must be positive");
-    util::expects(stddev >= 0.0f, "Noise_video stddev must be non-negative");
-    util::expects(fps > 0.0, "Noise_video fps must be positive");
+    util::expects(std::isfinite(mean_level), "Noise_video mean level must be finite");
+    util::expects(std::isfinite(stddev) && stddev >= 0.0f,
+                  "Noise_video stddev must be finite and non-negative");
+    util::expects(std::isfinite(fps) && fps > 0.0, "Noise_video fps must be positive and finite");
 }
 
 img::Imagef Noise_video::frame(std::int64_t index) const
@@ -256,7 +248,8 @@ Slideshow_video::Slideshow_video(int width, int height, int hold_frames, double 
 {
     util::expects(width > 0 && height > 0, "Slideshow_video dimensions must be positive");
     util::expects(hold_frames >= 1, "Slideshow_video must hold each slide >= 1 frame");
-    util::expects(fps > 0.0, "Slideshow_video fps must be positive");
+    util::expects(std::isfinite(fps) && fps > 0.0,
+                  "Slideshow_video fps must be positive and finite");
 }
 
 img::Imagef Slideshow_video::frame(std::int64_t index) const
@@ -291,7 +284,9 @@ Ticker_video::Ticker_video(int width, int height, std::string text, float speed_
     util::expects(width > 0 && height > 0, "Ticker_video dimensions must be positive");
     util::expects(!text_.empty(), "Ticker_video needs text");
     util::expects(std::isfinite(speed_px_per_frame), "Ticker_video speed must be finite");
-    util::expects(fps > 0.0, "Ticker_video fps must be positive");
+    util::expects(std::isfinite(background) && std::isfinite(ink),
+                  "Ticker_video levels must be finite");
+    util::expects(std::isfinite(fps) && fps > 0.0, "Ticker_video fps must be positive and finite");
     // 5x7 glyphs with 1-column gaps at scale 2.
     text_width_px_ = static_cast<int>(text_.size()) * 12;
 }
@@ -317,6 +312,10 @@ Tinted_video::Tinted_video(std::shared_ptr<const Video_source> inner, Tint dark,
     : inner_(std::move(inner)), dark_(dark), light_(light)
 {
     util::expects(inner_ != nullptr, "Tinted_video requires a source");
+    for (const Tint& tint : {dark, light}) {
+        util::expects(std::isfinite(tint.r) && std::isfinite(tint.g) && std::isfinite(tint.b),
+                      "Tinted_video tints must be finite");
+    }
 }
 
 img::Imagef Tinted_video::frame(std::int64_t index) const
@@ -332,27 +331,6 @@ img::Imagef Tinted_video::frame(std::int64_t index) const
         }
     }
     return out;
-}
-
-Image_sequence_video::Image_sequence_video(std::vector<std::string> paths, double fps)
-    : fps_(fps)
-{
-    util::expects(!paths.empty(), "Image_sequence_video needs at least one frame");
-    util::expects(fps > 0.0, "Image_sequence_video fps must be positive");
-    frames_.reserve(paths.size());
-    for (const auto& path : paths) {
-        frames_.push_back(img::to_float(img::read_pnm(path)));
-        util::expects(frames_.back().same_shape(frames_.front()),
-                      "Image_sequence_video frames must share one shape");
-    }
-    width_ = frames_.front().width();
-    height_ = frames_.front().height();
-}
-
-img::Imagef Image_sequence_video::frame(std::int64_t index) const
-{
-    util::expects(index >= 0, "frame index must be non-negative");
-    return frames_[static_cast<std::size_t>(index) % frames_.size()];
 }
 
 Cached_video::Cached_video(std::shared_ptr<const Video_source> inner, std::size_t capacity)

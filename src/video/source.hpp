@@ -57,23 +57,6 @@ private:
     double fps_;
 };
 
-// Static image repeated forever (e.g., a gradient test card).
-class Still_video final : public Video_source {
-public:
-    Still_video(img::Imagef image, std::string name, double fps = 30.0);
-
-    img::Imagef frame(std::int64_t index) const override;
-    int width() const override { return image_.width(); }
-    int height() const override { return image_.height(); }
-    double fps() const override { return fps_; }
-    std::string name() const override { return name_; }
-
-private:
-    img::Imagef image_;
-    std::string name_;
-    double fps_;
-};
-
 // Procedural sunrise scene: brightening sky gradient, rising sun disc,
 // drifting value-noise clouds, dark textured foreground hills. Rows render
 // in parallel (util::parallel_for); every pixel is a pure function of
@@ -142,29 +125,6 @@ private:
     float stddev_;
     double fps_;
     std::uint64_t seed_;
-};
-
-// Plays back recorded frames (PGM/PPM files) from disk, looping. The
-// bridge for feeding *real* footage through the pipeline: drop numbered
-// frames in a directory and point this at them.
-class Image_sequence_video final : public Video_source {
-public:
-    // paths: ordered frame files; all must share one size/channel count.
-    Image_sequence_video(std::vector<std::string> paths, double fps = 30.0);
-
-    img::Imagef frame(std::int64_t index) const override;
-    int width() const override { return width_; }
-    int height() const override { return height_; }
-    double fps() const override { return fps_; }
-    std::string name() const override { return "image-sequence"; }
-
-    std::size_t frame_count() const { return frames_.size(); }
-
-private:
-    std::vector<img::Imagef> frames_;
-    int width_ = 0;
-    int height_ = 0;
-    double fps_;
 };
 
 // Memoizes the most recent frames of a wrapped source. The encoder asks for

@@ -209,6 +209,63 @@ TEST(Impairment, ShakeOutputMatchesFrozenCrcs)
     }
 }
 
+// Tear output frozen the same way: eight consecutive captures torn with
+// probability 1, a 1-channel and a 3-channel capture, both directions.
+TEST(Impairment, TearOutputMatchesFrozenCrcs)
+{
+    struct Case {
+        const char* name;
+        int channels;
+        double shift_px;
+        std::uint32_t crc;
+    };
+    const Case cases[] = {
+        {"97x55x1 shift 5", 1, 5.0, 0x27f7080fu},
+        {"97x55x1 shift -5", 1, -5.0, 0xc624eb45u},
+        {"97x55x3 shift 5", 3, 5.0, 0x009f6b8bu},
+        {"97x55x3 shift -5", 3, -5.0, 0x43ded0aau},
+    };
+    for (const auto& c : cases) {
+        Tear_impairment tear(21, 1.0, c.shift_px);
+        const auto original = textured_image(97, 55, c.channels, 5);
+        util::Crc32 crc;
+        for (std::int64_t k = 0; k < 8; ++k) {
+            auto image = original;
+            ASSERT_EQ(tear.apply(image, k), Capture_fate::delivered);
+            const auto values = image.values();
+            crc.update({reinterpret_cast<const std::uint8_t*>(values.data()),
+                        values.size() * sizeof(float)});
+        }
+        EXPECT_EQ(crc.value(), c.crc) << c.name << ": got 0x" << std::hex << crc.value();
+    }
+}
+
+TEST(Impairment, TearEdgeBandKeepsEachChannel)
+{
+    // Pixel x holds (x, 100 + x, 200 + x), so pixel 0 is (0, 100, 200).
+    img::Imagef original(8, 4, 3);
+    for (int y = 0; y < 4; ++y) {
+        for (int x = 0; x < 8; ++x) {
+            for (int c = 0; c < 3; ++c) original(x, y, c) = static_cast<float>(100 * c + x);
+        }
+    }
+    for (const double shift : {2.0, -2.0}) {
+        Tear_impairment tear(13, 1.0, shift);
+        auto image = original;
+        ASSERT_EQ(tear.apply(image, 0), Capture_fate::delivered);
+        const int seam = tear.tear_row_at(0, image.height());
+        ASSERT_GE(seam, 0);
+        const int edge = shift > 0 ? 0 : 7;
+        const int band_start = shift > 0 ? 0 : 6;
+        for (int x = band_start; x < band_start + 2; ++x) {
+            for (int c = 0; c < 3; ++c) {
+                EXPECT_EQ(image(x, seam, c), original(edge, seam, c))
+                    << "shift " << shift << " x " << x << " channel " << c;
+            }
+        }
+    }
+}
+
 TEST(Impairment, TearShiftsRowsBelowSeamOnly)
 {
     Tear_impairment tear(13, 1.0, 4.0);

@@ -79,21 +79,6 @@ TEST(BandEnergy, Validation)
     EXPECT_THROW(band_energy(s, 120.0, 20.0, 10.0), Contract_violation);
 }
 
-TEST(RemoveMean, CentersSignal)
-{
-    std::vector<double> s = {1.0, 2.0, 3.0};
-    const double removed = remove_mean(s);
-    EXPECT_DOUBLE_EQ(removed, 2.0);
-    EXPECT_DOUBLE_EQ(s[0], -1.0);
-    EXPECT_DOUBLE_EQ(s[2], 1.0);
-}
-
-TEST(RemoveMean, EmptyIsNoop)
-{
-    std::vector<double> s;
-    EXPECT_DOUBLE_EQ(remove_mean(s), 0.0);
-}
-
 TEST(Spectrum, SmoothedTransitionHasLessLowFrequencyEnergyThanStair)
 {
     // The design rationale of Fig. 5: SRRC smoothing moves transition

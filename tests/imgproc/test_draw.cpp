@@ -83,14 +83,6 @@ TEST(Draw, HorizontalGradientEndpoints)
     EXPECT_FLOAT_EQ(g(2, 0), 30.0f);
 }
 
-TEST(Draw, VerticalGradientEndpoints)
-{
-    const Imagef g = vertical_gradient(2, 5, 0.0f, 100.0f);
-    EXPECT_FLOAT_EQ(g(0, 0), 0.0f);
-    EXPECT_FLOAT_EQ(g(1, 4), 100.0f);
-    EXPECT_FLOAT_EQ(g(0, 2), 50.0f);
-}
-
 TEST(Draw, TextMarksPixels)
 {
     Imagef a(64, 16, 1, 0.0f);

@@ -5,9 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 namespace {
 
@@ -33,6 +34,17 @@ protected:
     std::vector<std::filesystem::path> created_;
 };
 
+std::string file_bytes(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string payload(const Image8& image)
+{
+    return {reinterpret_cast<const char*>(image.values().data()), image.value_count()};
+}
+
 TEST_F(IoTest, PgmRoundTrip)
 {
     Prng prng(21);
@@ -40,13 +52,7 @@ TEST_F(IoTest, PgmRoundTrip)
     for (auto& v : original.values()) v = static_cast<std::uint8_t>(prng.next_below(256));
     const auto file = path("gray.pgm");
     write_pnm(original, file);
-    const Image8 loaded = read_pnm(file);
-    ASSERT_EQ(loaded.width(), original.width());
-    ASSERT_EQ(loaded.height(), original.height());
-    ASSERT_EQ(loaded.channels(), 1);
-    for (std::size_t i = 0; i < original.values().size(); ++i) {
-        EXPECT_EQ(loaded.values()[i], original.values()[i]);
-    }
+    EXPECT_EQ(file_bytes(file), "P5\n33 17\n255\n" + payload(original));
 }
 
 TEST_F(IoTest, PpmRoundTrip)
@@ -56,11 +62,7 @@ TEST_F(IoTest, PpmRoundTrip)
     for (auto& v : original.values()) v = static_cast<std::uint8_t>(prng.next_below(256));
     const auto file = path("rgb.ppm");
     write_pnm(original, file);
-    const Image8 loaded = read_pnm(file);
-    ASSERT_EQ(loaded.channels(), 3);
-    for (std::size_t i = 0; i < original.values().size(); ++i) {
-        EXPECT_EQ(loaded.values()[i], original.values()[i]);
-    }
+    EXPECT_EQ(file_bytes(file), "P6\n8 6\n255\n" + payload(original));
 }
 
 TEST_F(IoTest, FloatWriteQuantizes)
@@ -70,59 +72,13 @@ TEST_F(IoTest, FloatWriteQuantizes)
     image(1, 0) = -5.0f;
     const auto file = path("clamp.pgm");
     write_pnm(image, file);
-    const Image8 loaded = read_pnm(file);
-    EXPECT_EQ(loaded(0, 0), 255);
-    EXPECT_EQ(loaded(1, 0), 0);
+    EXPECT_EQ(file_bytes(file), std::string("P5\n2 1\n255\n\xff\x00", 13));
 }
 
-TEST_F(IoTest, CommentsInHeaderAreSkipped)
+TEST_F(IoTest, UnwritablePathThrows)
 {
-    const auto file = path("comment.pgm");
-    {
-        std::ofstream out(file, std::ios::binary);
-        out << "P5\n# a comment line\n2 1\n# another\n255\n";
-        out.put(10);
-        out.put(200);
-    }
-    const Image8 loaded = read_pnm(file);
-    EXPECT_EQ(loaded(0, 0), 10);
-    EXPECT_EQ(loaded(1, 0), 200);
-}
-
-TEST_F(IoTest, MissingFileThrows)
-{
-    EXPECT_THROW(read_pnm("/nonexistent/definitely/missing.pgm"), std::runtime_error);
-}
-
-TEST_F(IoTest, BadMagicThrows)
-{
-    const auto file = path("bad_magic.pgm");
-    {
-        std::ofstream out(file, std::ios::binary);
-        out << "P3\n2 1\n255\n1 2 3 4 5 6\n";
-    }
-    EXPECT_THROW(read_pnm(file), std::runtime_error);
-}
-
-TEST_F(IoTest, TruncatedDataThrows)
-{
-    const auto file = path("truncated.pgm");
-    {
-        std::ofstream out(file, std::ios::binary);
-        out << "P5\n4 4\n255\n";
-        out.put(1); // only 1 of 16 bytes
-    }
-    EXPECT_THROW(read_pnm(file), std::runtime_error);
-}
-
-TEST_F(IoTest, BadDimensionsThrow)
-{
-    const auto file = path("bad_dims.pgm");
-    {
-        std::ofstream out(file, std::ios::binary);
-        out << "P5\n0 4\n255\n";
-    }
-    EXPECT_THROW(read_pnm(file), std::runtime_error);
+    EXPECT_THROW(write_pnm(Image8(2, 1, 1), "/nonexistent/definitely/missing.pgm"),
+                 std::runtime_error);
 }
 
 } // namespace

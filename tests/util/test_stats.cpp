@@ -54,65 +54,12 @@ TEST(RunningStats, MatchesGaussianMoments)
     EXPECT_NEAR(s.stddev(), 3.0, 0.05);
 }
 
-TEST(RunningStats, Ci95ShrinksWithSamples)
-{
-    Prng prng(78);
-    Running_stats small;
-    Running_stats large;
-    for (int i = 0; i < 100; ++i) small.add(prng.next_gaussian());
-    for (int i = 0; i < 10'000; ++i) large.add(prng.next_gaussian());
-    EXPECT_LT(large.ci95_halfwidth(), small.ci95_halfwidth());
-}
-
 TEST(RunningStats, ResetClears)
 {
     Running_stats s;
     s.add(1.0);
     s.reset();
     EXPECT_EQ(s.count(), 0u);
-}
-
-TEST(Histogram, CountsFallInCorrectBins)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(5.0);
-    EXPECT_EQ(h.count_in_bin(0), 1u);
-    EXPECT_EQ(h.count_in_bin(9), 1u);
-    EXPECT_EQ(h.count_in_bin(5), 1u);
-    EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, OutOfRangeCountsTowardTotalOnly)
-{
-    Histogram h(0.0, 1.0, 4);
-    h.add(-5.0);
-    h.add(5.0);
-    EXPECT_EQ(h.total(), 2u);
-    for (std::size_t i = 0; i < h.bin_count(); ++i) EXPECT_EQ(h.count_in_bin(i), 0u);
-}
-
-TEST(Histogram, QuantileOfUniformData)
-{
-    Prng prng(79);
-    Histogram h(0.0, 1.0, 100);
-    for (int i = 0; i < 100'000; ++i) h.add(prng.next_double());
-    EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-    EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-}
-
-TEST(Histogram, InvalidConstruction)
-{
-    EXPECT_THROW(Histogram(1.0, 0.0, 4), Contract_violation);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), Contract_violation);
-}
-
-TEST(Histogram, BinCenter)
-{
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.bin_center(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.bin_center(9), 9.5);
 }
 
 TEST(Median, OddAndEvenSizes)

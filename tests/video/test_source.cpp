@@ -1,7 +1,6 @@
 #include "video/source.hpp"
 
 #include "imgproc/image_ops.hpp"
-#include "imgproc/io.hpp"
 #include "imgproc/metrics.hpp"
 #include "util/contract.hpp"
 #include "util/stats.hpp"
@@ -10,7 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
+#include <functional>
 #include <limits>
 #include <thread>
 #include <utility>
@@ -43,16 +42,6 @@ TEST(SolidVideo, Validation)
     EXPECT_THROW(Solid_video(8, 8, 1.0f, 0.0), Contract_violation);
     Solid_video v(8, 8, 1.0f);
     EXPECT_THROW(v.frame(-1), Contract_violation);
-}
-
-TEST(StillVideo, RepeatsTheImage)
-{
-    Imagef image(8, 8, 1, 33.0f);
-    Still_video v(std::move(image), "card");
-    const Imagef f0 = v.frame(0);
-    const Imagef f100 = v.frame(100);
-    EXPECT_DOUBLE_EQ(inframe::img::mae(f0, f100), 0.0);
-    EXPECT_EQ(v.name(), "card");
 }
 
 TEST(SunriseVideo, DeterministicPerIndex)
@@ -315,45 +304,37 @@ TEST(TickerVideo, Validation)
     }
 }
 
-TEST(ImageSequenceVideo, LoadsAndLoopsRecordedFrames)
+TEST(VideoSources, RejectNonFiniteParameters)
 {
-    namespace fs = std::filesystem;
-    const auto dir = fs::temp_directory_path() / "inframe_seq_test";
-    fs::create_directories(dir);
-    std::vector<std::string> paths;
-    for (int i = 0; i < 3; ++i) {
-        Imagef frame(24, 16, 1, static_cast<float>(40 * (i + 1)));
-        const auto path = (dir / ("frame_" + std::to_string(i) + ".pgm")).string();
-        inframe::img::write_pnm(frame, path);
-        paths.push_back(path);
+    // Each entry builds one source with `bad` in a single level or rate.
+    const auto solid = std::make_shared<Solid_video>(8, 8, 1.0f);
+    const std::vector<std::pair<const char*, std::function<void(float)>>> builders = {
+        {"Solid_video level", [](float bad) { Solid_video(8, 8, bad); }},
+        {"Solid_video fps", [](float bad) { Solid_video(8, 8, 1.0f, bad); }},
+        {"Sunrise_video fps", [](float bad) { Sunrise_video(8, 8, bad); }},
+        {"Moving_bars_video lo", [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, 30.0, bad); }},
+        {"Moving_bars_video hi",
+         [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, 30.0, 64.0f, bad); }},
+        {"Moving_bars_video fps", [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, bad); }},
+        {"Noise_video mean", [](float bad) { Noise_video(8, 8, bad, 1.0f); }},
+        {"Noise_video stddev", [](float bad) { Noise_video(8, 8, 128.0f, bad); }},
+        {"Noise_video fps", [](float bad) { Noise_video(8, 8, 128.0f, 1.0f, bad); }},
+        {"Slideshow_video fps", [](float bad) { Slideshow_video(8, 8, 1, bad); }},
+        {"Ticker_video background",
+         [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, 30.0, bad); }},
+        {"Ticker_video ink",
+         [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, 30.0, 110.0f, bad); }},
+        {"Ticker_video fps", [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, bad); }},
+        {"Tinted_video dark", [&](float bad) { Tinted_video(solid, {bad, 0.0f, 0.0f}, {}); }},
+        {"Tinted_video light", [&](float bad) { Tinted_video(solid, {}, {0.0f, 0.0f, bad}); }},
+    };
+    for (const auto& [what, build] : builders) {
+        for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                                std::numeric_limits<float>::infinity(),
+                                -std::numeric_limits<float>::infinity()}) {
+            EXPECT_THROW(build(bad), Contract_violation) << what << " = " << bad;
+        }
     }
-    Image_sequence_video v(paths, 24.0);
-    EXPECT_EQ(v.frame_count(), 3u);
-    EXPECT_EQ(v.width(), 24);
-    EXPECT_DOUBLE_EQ(v.fps(), 24.0);
-    EXPECT_NEAR(v.frame(1)(0, 0), 80.0f, 0.5f);
-    // Loops past the end.
-    EXPECT_NEAR(v.frame(4)(0, 0), 80.0f, 0.5f);
-    for (const auto& p : paths) fs::remove(p);
-}
-
-TEST(ImageSequenceVideo, RejectsMismatchedShapes)
-{
-    namespace fs = std::filesystem;
-    const auto dir = fs::temp_directory_path() / "inframe_seq_test";
-    fs::create_directories(dir);
-    const auto a = (dir / "a.pgm").string();
-    const auto b = (dir / "b.pgm").string();
-    inframe::img::write_pnm(Imagef(24, 16, 1, 10.0f), a);
-    inframe::img::write_pnm(Imagef(20, 16, 1, 10.0f), b);
-    EXPECT_THROW(Image_sequence_video({a, b}), Contract_violation);
-    fs::remove(a);
-    fs::remove(b);
-}
-
-TEST(ImageSequenceVideo, Validation)
-{
-    EXPECT_THROW(Image_sequence_video({}), Contract_violation);
 }
 
 // One octave of fractal_noise_row is plain value noise.
