@@ -47,9 +47,8 @@ int main(int argc, char** argv)
     // --- Quantified claims per transition shape --------------------------
     util::Table table({"transition", "max lowpass deviation", "2-40 Hz band energy",
                        "perceived amplitude (px)", "vs threshold"});
-    const hvs::Vision_model_params vision;
     const hvs::Observer observer;
-    const double threshold = hvs::amplitude_threshold(vision, observer, 127.0);
+    const double threshold = hvs::amplitude_threshold(observer, 127.0);
     for (const auto shape : {dsp::Transition_shape::srrc, dsp::Transition_shape::linear,
                              dsp::Transition_shape::stair}) {
         auto wave = dsp::pixel_waveform(bits, tau, shape);
@@ -63,7 +62,7 @@ int main(int argc, char** argv)
         }
         const double band = dsp::band_energy(wave, fps, 2.0, 40.0) * 20.0;
         const double perceived =
-            hvs::perceived_peak_amplitude(vision, observer, lum, fps, 127.0);
+            hvs::perceived_peak_amplitude(observer, lum, fps, 127.0);
         table.add_row({std::string(dsp::to_string(shape)), max_dev, band, perceived,
                        std::string(perceived < threshold ? "below (imperceptible)"
                                                          : "ABOVE (visible)")});

@@ -228,7 +228,7 @@ void bm_shake_impairment(benchmark::State& state)
     util::Prng prng(7);
     img::Imagef image(1280, 720, static_cast<int>(state.range(0)));
     for (auto& v : image.values()) v = static_cast<float>(prng.next_double(0, 255));
-    channel::Shake_impairment shake(1, 0.5, 6.0);
+    channel::Shake_impairment shake(1, 0.5);
     std::int64_t capture = 0;
     for (auto _ : state) {
         shake.apply(image, capture++);

@@ -153,6 +153,6 @@ int main(int argc, char** argv)
     }
     bench::emit_table(args, "sync_acquisition", table);
     std::printf("lock time includes the %d-capture observation window the estimator needs.\n",
-                Sync_params{}.min_captures);
+                Phase_estimator::min_captures);
     return 0;
 }

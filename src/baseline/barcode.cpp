@@ -12,10 +12,6 @@ namespace inframe::baseline {
 void Barcode_config::validate() const
 {
     geometry.validate();
-    util::expects(hold_refreshes >= 1, "barcode: hold must be >= 1 refresh");
-    util::expects(display_fps > 0.0, "barcode: display rate must be positive");
-    util::expects(black_level >= 0.0f && white_level <= 255.0f && black_level < white_level,
-                  "barcode: levels must satisfy 0 <= black < white <= 255");
 }
 
 img::Imagef render_barcode(const Barcode_config& config,

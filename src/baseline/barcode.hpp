@@ -23,16 +23,15 @@ struct Barcode_config {
 
     // Display refreshes each barcode frame is held for (4 at 120 Hz =
     // 30 barcode frames/s, a COBRA-like rate).
-    int hold_refreshes = 4;
+    static constexpr int hold_refreshes = 4;
+    static constexpr double display_fps = 120.0;
 
-    double display_fps = 120.0;
-
-    float black_level = 20.0f;
-    float white_level = 235.0f;
+    static constexpr float black_level = 20.0f;
+    static constexpr float white_level = 235.0f;
 
     void validate() const;
 
-    double barcode_frame_rate() const { return display_fps / hold_refreshes; }
+    static constexpr double barcode_frame_rate() { return display_fps / hold_refreshes; }
 
     // One bit per block: no parity — conventional schemes spend capacity
     // on RS codes instead; we report raw block accuracy.

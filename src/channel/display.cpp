@@ -64,9 +64,4 @@ img::Imagef Display_model::emit(const img::Imagef& frame)
     return out;
 }
 
-void Display_model::reset()
-{
-    previous_emitted_ = img::Imagef();
-}
-
 } // namespace inframe::channel

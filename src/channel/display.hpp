@@ -43,9 +43,6 @@ public:
 
     const Display_params& params() const { return params_; }
 
-    // Forgets panel state (next frame emits without history).
-    void reset();
-
 private:
     Display_params params_;
     // Last emitted frame while persistence is on; empty = no history.

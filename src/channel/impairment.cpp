@@ -37,12 +37,10 @@ enum Stage_id : std::uint32_t {
 
 // Shared by Impairment_config::validate and the stage constructors, which
 // custom chains call directly.
-void check_shake(double sigma_px, double max_px)
+void check_shake(double sigma_px)
 {
     util::expects(std::isfinite(sigma_px) && sigma_px >= 0.0,
                   "impairments: shake sigma must be finite and non-negative");
-    util::expects(std::isfinite(max_px) && max_px >= 0.0,
-                  "impairments: shake clamp must be finite and non-negative");
 }
 
 int rounded_tear_shift(double shift_px)
@@ -63,21 +61,13 @@ std::uint64_t impairment_draw_seed(std::uint64_t chain_seed, std::uint32_t stage
                  ^ static_cast<std::uint64_t>(capture_index));
 }
 
-bool Impairment_config::any() const
-{
-    return drop_probability > 0.0 || duplicate_probability > 0.0
-           || gain_drift_amplitude != 0.0 || offset_drift_dn != 0.0 || shake_sigma_px > 0.0
-           || occlusion_fraction > 0.0 || tear_probability > 0.0;
-}
-
 void Impairment_config::validate() const
 {
     util::expects(drop_probability >= 0.0 && drop_probability <= 1.0,
                   "impairments: drop probability must be in [0, 1]");
     util::expects(duplicate_probability >= 0.0 && duplicate_probability <= 1.0,
                   "impairments: duplicate probability must be in [0, 1]");
-    util::expects(gain_drift_period > 0.0, "impairments: gain drift period must be positive");
-    check_shake(shake_sigma_px, shake_max_px);
+    check_shake(shake_sigma_px);
     util::expects(occlusion_fraction >= 0.0 && occlusion_fraction < 1.0,
                   "impairments: occlusion fraction must be in [0, 1)");
     util::expects(occlusion_count >= 1, "impairments: occlusion count must be positive");
@@ -103,11 +93,6 @@ Capture_fate Impairment_chain::apply(img::Imagef& image, std::int64_t capture_in
     return Capture_fate::delivered;
 }
 
-void Impairment_chain::reset()
-{
-    for (auto& stage : stages_) stage->reset();
-}
-
 Impairment_chain make_impairment_chain(const Impairment_config& config)
 {
     config.validate();
@@ -117,21 +102,19 @@ Impairment_chain make_impairment_chain(const Impairment_config& config)
                                                       config.duplicate_probability));
     }
     if (config.gain_drift_amplitude != 0.0 || config.offset_drift_dn != 0.0) {
-        chain.add(std::make_unique<Exposure_drift_impairment>(
-            config.gain_drift_amplitude, config.gain_drift_period, config.offset_drift_dn));
+        chain.add(std::make_unique<Exposure_drift_impairment>(config.gain_drift_amplitude,
+                                                              config.offset_drift_dn));
     }
     if (config.shake_sigma_px > 0.0) {
-        chain.add(std::make_unique<Shake_impairment>(config.seed, config.shake_sigma_px,
-                                                     config.shake_max_px));
+        chain.add(std::make_unique<Shake_impairment>(config.seed, config.shake_sigma_px));
     }
     if (config.tear_probability > 0.0) {
         chain.add(std::make_unique<Tear_impairment>(config.seed, config.tear_probability,
                                                     config.tear_shift_px));
     }
     if (config.occlusion_fraction > 0.0) {
-        chain.add(std::make_unique<Occlusion_impairment>(
-            config.seed, config.occlusion_fraction, config.occlusion_count,
-            config.occlusion_level, config.occlusion_drift_px));
+        chain.add(std::make_unique<Occlusion_impairment>(config.seed, config.occlusion_fraction,
+                                                         config.occlusion_count));
     }
     return chain;
 }
@@ -172,20 +155,16 @@ Capture_fate Timing_impairment::apply(img::Imagef& image, std::int64_t capture_i
     return Capture_fate::delivered;
 }
 
-void Timing_impairment::reset() { previous_ = img::Imagef(); }
-
 // --- exposure drift ---------------------------------------------------
 
-Exposure_drift_impairment::Exposure_drift_impairment(double gain_amplitude, double period,
-                                                     double offset_dn)
-    : amplitude_(gain_amplitude), period_(period), offset_dn_(offset_dn)
+Exposure_drift_impairment::Exposure_drift_impairment(double gain_amplitude, double offset_dn)
+    : amplitude_(gain_amplitude), offset_dn_(offset_dn)
 {
-    util::expects(period > 0.0, "exposure drift: period must be positive");
 }
 
 double Exposure_drift_impairment::gain_at(std::int64_t capture_index) const
 {
-    const double phase = 2.0 * std::numbers::pi * static_cast<double>(capture_index) / period_;
+    const double phase = 2.0 * std::numbers::pi * static_cast<double>(capture_index) / period;
     return 1.0 + amplitude_ * std::sin(phase);
 }
 
@@ -194,7 +173,7 @@ double Exposure_drift_impairment::offset_at(std::int64_t capture_index) const
     // Offset hunts at a slower, incommensurate cadence so gain and offset
     // extremes do not always coincide.
     const double phase =
-        2.0 * std::numbers::pi * static_cast<double>(capture_index) / (period_ * 1.7);
+        2.0 * std::numbers::pi * static_cast<double>(capture_index) / (period * 1.7);
     return offset_dn_ * std::sin(phase);
 }
 
@@ -220,17 +199,17 @@ Capture_fate Exposure_drift_impairment::apply(img::Imagef& image, std::int64_t c
 
 // --- shake ------------------------------------------------------------
 
-Shake_impairment::Shake_impairment(std::uint64_t seed, double sigma_px, double max_px)
-    : seed_(seed), sigma_px_(sigma_px), max_px_(max_px)
+Shake_impairment::Shake_impairment(std::uint64_t seed, double sigma_px)
+    : seed_(seed), sigma_px_(sigma_px)
 {
-    check_shake(sigma_px, max_px);
+    check_shake(sigma_px);
 }
 
 void Shake_impairment::jitter_at(std::int64_t capture_index, double& dx, double& dy) const
 {
     util::Prng prng(impairment_draw_seed(seed_, stage_shake, capture_index));
-    dx = std::clamp(prng.next_gaussian(0.0, sigma_px_), -max_px_, max_px_);
-    dy = std::clamp(prng.next_gaussian(0.0, sigma_px_), -max_px_, max_px_);
+    dx = std::clamp(prng.next_gaussian(0.0, sigma_px_), -max_px, max_px);
+    dy = std::clamp(prng.next_gaussian(0.0, sigma_px_), -max_px, max_px);
 }
 
 Capture_fate Shake_impairment::apply(img::Imagef& image, std::int64_t capture_index)
@@ -315,14 +294,13 @@ Capture_fate Tear_impairment::apply(img::Imagef& image, std::int64_t capture_ind
 
 // --- occlusion --------------------------------------------------------
 
-Occlusion_impairment::Occlusion_impairment(std::uint64_t seed, double fraction, int count,
-                                           float level, double drift_px)
-    : seed_(seed), fraction_(fraction), count_(count), level_(level), drift_px_(drift_px)
+Occlusion_impairment::Occlusion_impairment(std::uint64_t seed, double fraction, int count)
+    : seed_(seed), fraction_(fraction), count_(count)
 {
     util::expects(count >= 1, "occlusion: rectangle count must be positive");
 }
 
-Capture_fate Occlusion_impairment::apply(img::Imagef& image, std::int64_t capture_index)
+Capture_fate Occlusion_impairment::apply(img::Imagef& image, std::int64_t /*capture_index*/)
 {
     const int w = image.width();
     const int h = image.height();
@@ -330,8 +308,7 @@ Capture_fate Occlusion_impairment::apply(img::Imagef& image, std::int64_t captur
         fraction_ * static_cast<double>(w) * static_cast<double>(h) / count_;
     for (int rect = 0; rect < count_; ++rect) {
         // Placement is a pure function of (seed, rect): the occluder is a
-        // physical object, fixed unless drifting. Per-capture drift moves
-        // the centre deterministically with capture index.
+        // physical object, fixed for the whole run.
         util::Prng prng(mix64(mix64(seed_ ^ (static_cast<std::uint64_t>(stage_occlusion) << 56))
                               ^ static_cast<std::uint64_t>(rect)));
         const double aspect = prng.next_double(0.5, 2.0);
@@ -339,17 +316,8 @@ Capture_fate Occlusion_impairment::apply(img::Imagef& image, std::int64_t captur
             static_cast<int>(std::lround(std::sqrt(area_per_rect * aspect))), 1, w);
         const int rect_h = std::clamp(
             static_cast<int>(std::lround(area_per_rect / rect_w)), 1, h);
-        double cx = prng.next_double(0.0, static_cast<double>(w));
-        double cy = prng.next_double(0.0, static_cast<double>(h));
-        if (drift_px_ != 0.0) {
-            const double angle = prng.next_double(0.0, 2.0 * std::numbers::pi);
-            cx += std::cos(angle) * drift_px_ * static_cast<double>(capture_index);
-            cy += std::sin(angle) * drift_px_ * static_cast<double>(capture_index);
-        }
-        // Wrap the centre so drifting occluders re-enter instead of
-        // leaving forever.
-        cx = std::fmod(std::fmod(cx, w) + w, w);
-        cy = std::fmod(std::fmod(cy, h) + h, h);
+        const double cx = prng.next_double(0.0, static_cast<double>(w));
+        const double cy = prng.next_double(0.0, static_cast<double>(h));
         const int x0 = std::clamp(static_cast<int>(std::lround(cx)) - rect_w / 2, 0, w - 1);
         const int y0 = std::clamp(static_cast<int>(std::lround(cy)) - rect_h / 2, 0, h - 1);
         const int x1 = std::min(x0 + rect_w, w);
@@ -359,7 +327,7 @@ Capture_fate Occlusion_impairment::apply(img::Imagef& image, std::int64_t captur
                 auto row = image.row(static_cast<int>(y));
                 for (int x = x0; x < x1; ++x) {
                     for (int c = 0; c < image.channels(); ++c) {
-                        row[static_cast<std::size_t>(x * image.channels() + c)] = level_;
+                        row[static_cast<std::size_t>(x * image.channels() + c)] = level;
                     }
                 }
             }

@@ -45,9 +45,6 @@ public:
     // Transforms the capture in place. Returning `dropped` removes the
     // capture from the stream; later stages never see it.
     virtual Capture_fate apply(img::Imagef& image, std::int64_t capture_index) = 0;
-
-    // Forgets any cross-capture state (start of a new run).
-    virtual void reset() {}
 };
 
 // Declarative description of a chain, so experiment configs stay plain
@@ -67,27 +64,24 @@ struct Impairment_config {
 
     // --- exposure / gain drift ----------------------------------------
     // Auto-exposure hunting: multiplicative gain 1 + A*sin(2*pi*k/period)
-    // and an additive black-level drift, both smooth in capture index k.
+    // and an additive black-level drift, both smooth in capture index k
+    // (period: Exposure_drift_impairment::period).
     double gain_drift_amplitude = 0.0;    // A, e.g. 0.15
-    double gain_drift_period = 48.0;      // captures per hunting cycle
     double offset_drift_dn = 0.0;         // additive drift amplitude (DN)
 
     // --- translational camera shake -----------------------------------
     // Per-capture jitter of the screen image on the sensor, modelled as a
-    // translation applied on top of the (uncalibrated) viewing homography.
-    // Both must be finite and non-negative.
+    // translation applied on top of the (uncalibrated) viewing homography,
+    // clamped per axis to Shake_impairment::max_px. Must be finite and
+    // non-negative.
     double shake_sigma_px = 0.0;          // stddev of per-axis jitter
-    double shake_max_px = 6.0;            // hard clamp per axis
 
     // --- partial occlusion --------------------------------------------
-    // Total sensor-area fraction covered by `occlusion_count` rectangles
-    // painted at `occlusion_level` (a dark finger/hand by default).
+    // Total sensor-area fraction covered by `occlusion_count` fixed
+    // rectangles painted at Occlusion_impairment::level (a dark
+    // finger/hand).
     double occlusion_fraction = 0.0;
     int occlusion_count = 1;
-    float occlusion_level = 8.0f;
-    // Rectangle centres drift this many pixels per capture (a waving
-    // hand); 0 keeps them fixed for the whole run.
-    double occlusion_drift_px = 0.0;
 
     // --- rolling-shutter tear -----------------------------------------
     // Probability a capture shows a tear seam: rows below a random seam
@@ -97,9 +91,6 @@ struct Impairment_config {
     // row's width or more leaves only the edge value below the seam.
     double tear_probability = 0.0;
     double tear_shift_px = 8.0;
-
-    // True when at least one impairment is active.
-    bool any() const;
 
     void validate() const;
 };
@@ -112,13 +103,10 @@ public:
     void add(std::unique_ptr<Impairment> stage);
 
     bool empty() const { return stages_.empty(); }
-    std::size_t size() const { return stages_.size(); }
 
     // Runs the capture through every stage in order. Stops early when a
     // stage drops it.
     Capture_fate apply(img::Imagef& image, std::int64_t capture_index);
-
-    void reset();
 
 private:
     std::vector<std::unique_ptr<Impairment>> stages_;
@@ -144,7 +132,6 @@ public:
                       double duplicate_probability);
     const char* name() const override { return "timing"; }
     Capture_fate apply(img::Imagef& image, std::int64_t capture_index) override;
-    void reset() override;
 
 private:
     std::uint64_t seed_;
@@ -156,7 +143,10 @@ private:
 // Smooth exposure/gain hunting.
 class Exposure_drift_impairment final : public Impairment {
 public:
-    Exposure_drift_impairment(double gain_amplitude, double period, double offset_dn);
+    // Captures per hunting cycle.
+    static constexpr double period = 48.0;
+
+    Exposure_drift_impairment(double gain_amplitude, double offset_dn);
     const char* name() const override { return "exposure-drift"; }
     Capture_fate apply(img::Imagef& image, std::int64_t capture_index) override;
 
@@ -166,15 +156,17 @@ public:
 
 private:
     double amplitude_;
-    double period_;
     double offset_dn_;
 };
 
 // Per-capture translational jitter. Throws Contract_violation unless sigma
-// and the clamp are finite and non-negative.
+// is finite and non-negative.
 class Shake_impairment final : public Impairment {
 public:
-    Shake_impairment(std::uint64_t seed, double sigma_px, double max_px);
+    // Hard clamp on the jitter per axis, pixels.
+    static constexpr double max_px = 6.0;
+
+    Shake_impairment(std::uint64_t seed, double sigma_px);
     const char* name() const override { return "shake"; }
     Capture_fate apply(img::Imagef& image, std::int64_t capture_index) override;
 
@@ -184,7 +176,6 @@ public:
 private:
     std::uint64_t seed_;
     double sigma_px_;
-    double max_px_;
 };
 
 // Horizontal tear seam from display/camera clock skew. Throws
@@ -204,11 +195,13 @@ private:
     int shift_px_;
 };
 
-// Opaque rectangles in front of the lens.
+// Opaque rectangles in front of the lens, fixed for the whole run.
 class Occlusion_impairment final : public Impairment {
 public:
-    Occlusion_impairment(std::uint64_t seed, double fraction, int count, float level,
-                         double drift_px);
+    // Value painted over the covered pixels.
+    static constexpr float level = 8.0f;
+
+    Occlusion_impairment(std::uint64_t seed, double fraction, int count);
     const char* name() const override { return "occlusion"; }
     Capture_fate apply(img::Imagef& image, std::int64_t capture_index) override;
 
@@ -216,8 +209,6 @@ private:
     std::uint64_t seed_;
     double fraction_;
     int count_;
-    float level_;
-    double drift_px_;
 };
 
 } // namespace inframe::channel

@@ -11,19 +11,13 @@
 namespace inframe::channel {
 
 Screen_camera_link::Screen_camera_link(Display_params display, Camera_params camera,
-                                       int screen_width, int screen_height)
-    : display_(display), camera_params_(camera), optics_(camera, screen_width, screen_height)
+                                       int screen_width, int screen_height,
+                                       const Impairment_config& impairments)
+    : display_(display), camera_params_(camera), optics_(camera, screen_width, screen_height),
+      impairments_(make_impairment_chain(impairments))
 {
     util::expects(std::isfinite(camera.phase_offset_s) && camera.phase_offset_s >= 0.0,
                   "camera phase offset must be finite and non-negative");
-}
-
-Screen_camera_link::Screen_camera_link(Display_params display, Camera_params camera,
-                                       int screen_width, int screen_height,
-                                       const Impairment_config& impairments)
-    : Screen_camera_link(display, camera, screen_width, screen_height)
-{
-    impairments_ = make_impairment_chain(impairments);
 }
 
 bool Screen_camera_link::capture_complete(double now) const
@@ -151,16 +145,9 @@ void Screen_camera_link::trim_buffer()
 std::vector<Capture> run_link(const Display_params& display, const Camera_params& camera,
                               std::span<const img::Imagef> display_frames)
 {
-    return run_link(display, camera, Impairment_config{}, display_frames);
-}
-
-std::vector<Capture> run_link(const Display_params& display, const Camera_params& camera,
-                              const Impairment_config& impairments,
-                              std::span<const img::Imagef> display_frames)
-{
     util::expects(!display_frames.empty(), "run_link needs display frames");
     Screen_camera_link link(display, camera, display_frames[0].width(),
-                            display_frames[0].height(), impairments);
+                            display_frames[0].height());
     std::vector<Capture> captures;
     for (const auto& frame : display_frames) {
         auto completed = link.push_display_frame(frame);

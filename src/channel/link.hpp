@@ -35,13 +35,11 @@ struct Capture {
 
 class Screen_camera_link {
 public:
+    // `impairments` builds the fault-injection chain applied to every
+    // completed capture (drops, duplication, drift, shake, tear,
+    // occlusion); the default is the clean link.
     Screen_camera_link(Display_params display, Camera_params camera, int screen_width,
-                       int screen_height);
-
-    // Same link with a fault-injection chain applied to every completed
-    // capture (drops, duplication, drift, shake, tear, occlusion).
-    Screen_camera_link(Display_params display, Camera_params camera, int screen_width,
-                       int screen_height, const Impairment_config& impairments);
+                       int screen_height, const Impairment_config& impairments = {});
 
     // Pushes the next logical display frame (refresh cadence). Returns the
     // captures completed by the end of this refresh interval (usually zero
@@ -54,9 +52,6 @@ public:
 
     // Captures the impairment chain swallowed so far.
     std::int64_t captures_dropped() const { return captures_dropped_; }
-
-    // Expected captures per second.
-    double capture_rate() const { return camera_params_.fps; }
 
     const Camera_params& camera_params() const { return camera_params_; }
     const Display_params& display_params() const { return display_.params(); }
@@ -86,11 +81,6 @@ private:
 // Convenience: run a prepared sequence of display frames through a fresh
 // link and collect all completed captures.
 std::vector<Capture> run_link(const Display_params& display, const Camera_params& camera,
-                              std::span<const img::Imagef> display_frames);
-
-// Same, with a fault-injection chain on the capture stream.
-std::vector<Capture> run_link(const Display_params& display, const Camera_params& camera,
-                              const Impairment_config& impairments,
                               std::span<const img::Imagef> display_frames);
 
 } // namespace inframe::channel

@@ -6,51 +6,6 @@
 
 namespace inframe::coding {
 
-Payload_framer::Payload_framer(int capacity_bits) : capacity_bits_(capacity_bits)
-{
-    util::expects(capacity_bits > header_bits + 8,
-                  "framer: capacity too small for header plus any payload");
-}
-
-std::vector<std::uint8_t> Payload_framer::build(std::uint32_t sequence,
-                                                std::span<const std::uint8_t> payload) const
-{
-    util::expects(static_cast<int>(payload.size()) <= max_payload_bytes(),
-                  "framer: payload exceeds frame capacity");
-    util::Bit_writer writer;
-    writer.put_bits(magic, 16);
-    writer.put_bits(sequence, 32);
-    writer.put_bits(static_cast<std::uint16_t>(payload.size()), 16);
-    writer.put_bits(util::crc32(payload), 32);
-    writer.put_bytes(payload);
-
-    auto bits = writer.to_bit_vector();
-    bits.reserve(static_cast<std::size_t>(capacity_bits_));
-    util::Prng filler(0xf111'e500'0000'0000ULL ^ sequence);
-    while (bits.size() < static_cast<std::size_t>(capacity_bits_)) {
-        bits.push_back(static_cast<std::uint8_t>(filler.next_u64() >> 63));
-    }
-    return bits;
-}
-
-std::optional<Payload_framer::Parsed>
-Payload_framer::parse(std::span<const std::uint8_t> bits) const
-{
-    if (bits.size() != static_cast<std::size_t>(capacity_bits_)) return std::nullopt;
-    const auto bytes = util::pack_bits(bits);
-    util::Bit_reader reader(bytes, bits.size());
-    if (reader.get_bits(16) != magic) return std::nullopt;
-    Parsed parsed;
-    parsed.sequence = static_cast<std::uint32_t>(reader.get_bits(32));
-    const auto payload_bytes = static_cast<int>(reader.get_bits(16));
-    if (payload_bytes > max_payload_bytes()) return std::nullopt;
-    const auto expected_crc = static_cast<std::uint32_t>(reader.get_bits(32));
-    parsed.payload.reserve(static_cast<std::size_t>(payload_bytes));
-    for (int i = 0; i < payload_bytes; ++i) parsed.payload.push_back(reader.get_byte());
-    if (util::crc32(parsed.payload) != expected_crc) return std::nullopt;
-    return parsed;
-}
-
 std::vector<std::vector<std::uint8_t>> chunk_message(std::span<const std::uint8_t> message,
                                                      int chunk_bytes)
 {
@@ -94,8 +49,8 @@ std::vector<std::uint8_t> Rs_framer::build(std::uint32_t sequence,
     // Non-zero magic first: the all-zero vector is a valid RS codeword
     // (with a vacuously matching empty-payload CRC), and an undecodable
     // frame's fill bits are exactly all-zero.
-    data.push_back(static_cast<std::uint8_t>(Payload_framer::magic >> 8));
-    data.push_back(static_cast<std::uint8_t>(Payload_framer::magic & 0xff));
+    data.push_back(static_cast<std::uint8_t>(magic >> 8));
+    data.push_back(static_cast<std::uint8_t>(magic & 0xff));
     data.push_back(static_cast<std::uint8_t>(sequence >> 24));
     data.push_back(static_cast<std::uint8_t>(sequence >> 16));
     data.push_back(static_cast<std::uint8_t>(sequence >> 8));
@@ -158,9 +113,9 @@ Rs_framer::parse(std::span<const std::uint8_t> bits,
                                           : code_.decode_with_erasures(bytes, erasures);
     if (!decoded) return std::nullopt;
     const auto& data = decoded->data;
-    const auto magic =
+    const auto frame_magic =
         static_cast<std::uint16_t>((static_cast<int>(data[0]) << 8) | data[1]);
-    if (magic != Payload_framer::magic) return std::nullopt;
+    if (frame_magic != magic) return std::nullopt;
     Parsed parsed;
     parsed.sequence = (static_cast<std::uint32_t>(data[2]) << 24)
                       | (static_cast<std::uint32_t>(data[3]) << 16)

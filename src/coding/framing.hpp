@@ -3,9 +3,9 @@
 // The paper transmits raw pseudo-random data frames; a usable link needs
 // structure on top: each data frame carries a small header (magic,
 // sequence number, payload length) and a CRC-32 so the receiver can
-// reassemble a byte stream and discard corrupted frames. An optional
-// Reed-Solomon mode wraps the payload so scattered bit errors are
-// corrected rather than dropping the whole frame.
+// reassemble a byte stream and discard corrupted frames. Header and
+// payload are wrapped in a Reed-Solomon codeword so scattered bit errors
+// are corrected rather than dropping the whole frame.
 #pragma once
 
 #include "coding/reed_solomon.hpp"
@@ -18,37 +18,6 @@
 
 namespace inframe::coding {
 
-class Payload_framer {
-public:
-    // capacity_bits: bits one data frame carries (payload_bits_per_frame).
-    explicit Payload_framer(int capacity_bits);
-
-    static constexpr std::uint16_t magic = 0x1f7a;
-
-    // Header: magic(16) + sequence(32) + payload_bytes(16) + crc32(32).
-    static constexpr int header_bits = 96;
-
-    int capacity_bits() const { return capacity_bits_; }
-    int max_payload_bytes() const { return (capacity_bits_ - header_bits) / 8; }
-
-    // Builds the frame's bit vector (capacity_bits entries, 0/1). Unused
-    // tail bits are deterministic pseudo-random filler keyed by the
-    // sequence number (white filler keeps the on-screen pattern balanced).
-    std::vector<std::uint8_t> build(std::uint32_t sequence,
-                                    std::span<const std::uint8_t> payload) const;
-
-    struct Parsed {
-        std::uint32_t sequence = 0;
-        std::vector<std::uint8_t> payload;
-    };
-
-    // Validates magic and CRC; nullopt for garbage.
-    std::optional<Parsed> parse(std::span<const std::uint8_t> bits) const;
-
-private:
-    int capacity_bits_;
-};
-
 // Splits a message into frame payload chunks of at most chunk_bytes.
 std::vector<std::vector<std::uint8_t>> chunk_message(std::span<const std::uint8_t> message,
                                                      int chunk_bytes);
@@ -60,8 +29,14 @@ class Rs_framer {
 public:
     Rs_framer(int capacity_bits, int rs_n, int rs_k);
 
+    static constexpr std::uint16_t magic = 0x1f7a;
+
     int max_payload_bytes() const;
 
+    // Builds the frame's bit vector (capacity_bits entries, 0/1). Unused
+    // codeword bytes and tail bits are deterministic pseudo-random filler
+    // keyed by the sequence number (white filler keeps the on-screen
+    // pattern balanced).
     std::vector<std::uint8_t> build(std::uint32_t sequence,
                                     std::span<const std::uint8_t> payload) const;
 

@@ -16,6 +16,22 @@ namespace inframe::core {
 
 namespace {
 
+// Minimum upper-class metric for a split to count as signal: guards
+// against Otsu "finding" a split inside the noise floor when the pattern
+// has been destroyed entirely (e.g. defocused capture).
+constexpr double min_signal_level = 0.6;
+
+// Minimum separation quality d' = (m1 - m0) / pooled-sigma for the split
+// to be trusted. Classes closer than this misclassify at rates parity
+// cannot contain, so the row is reported unknown instead.
+constexpr double min_separation_dprime = 3.0;
+
+// Occlusion mask (erasure-aware mode): a block whose mean captured level
+// is below max(occlusion_level_floor, occlusion_level_fraction * median
+// block level) is treated as occluded.
+constexpr double occlusion_level_fraction = 0.35;
+constexpr double occlusion_level_floor = 16.0;
+
 bool all_finite(std::span<const double> values)
 {
     return std::ranges::all_of(values, [](double v) { return std::isfinite(v); });
@@ -30,16 +46,7 @@ void Decoder_params::validate() const
                   "decoder: capture size must be positive");
     util::expects(tau >= 2 && tau % 2 == 0, "decoder: tau must be even and >= 2");
     util::expects(display_fps > 0.0, "decoder: display rate must be positive");
-    util::expects(fixed_threshold > 0.0, "decoder: threshold must be positive");
     util::expects(hysteresis >= 0.0 && hysteresis < 1.0, "decoder: hysteresis must be in [0, 1)");
-    util::expects(stable_fraction > 0.0 && stable_fraction <= 1.0,
-                  "decoder: stable fraction must be in (0, 1]");
-    util::expects(min_signal_level >= 0.0, "decoder: signal floor must be non-negative");
-    util::expects(occlusion_level_fraction >= 0.0 && occlusion_level_fraction < 1.0,
-                  "decoder: occlusion level fraction must be in [0, 1)");
-    util::expects(occlusion_level_floor >= 0.0,
-                  "decoder: occlusion level floor must be non-negative");
-    util::expects(max_frame_gap >= 1, "decoder: frame gap cap must be positive");
 }
 
 const char* to_string(Detector detector)
@@ -359,16 +366,8 @@ Inframe_decoder::split_metrics(std::span<const double> metrics) const
     // classify reliably — either way, no trustworthy chessboard
     // population among these blocks.
     result.bimodal = upper_mean >= lower_mean * 1.5 + 0.25
-                     && upper_mean >= params_.min_signal_level
-                     && dprime >= params_.min_separation_dprime;
+                     && upper_mean >= min_signal_level && dprime >= min_separation_dprime;
     return result;
-}
-
-double Inframe_decoder::select_threshold(std::span<const double> metrics) const
-{
-    if (!params_.auto_threshold) return params_.fixed_threshold;
-    const auto split = split_metrics(metrics);
-    return split.bimodal ? split.value : params_.fixed_threshold;
 }
 
 void Inframe_decoder::set_sync_context(int locked, double offset_s)
@@ -401,7 +400,7 @@ std::vector<Data_frame_result> Inframe_decoder::push_capture(const img::Imagef& 
     const std::int64_t landing_frame = std::max(current_frame_, frame_index);
     const double phase = (start_time - static_cast<double>(landing_frame) * frame_period)
                          / frame_period;
-    const bool votes = phase < params_.stable_fraction - 1e-9;
+    const bool votes = phase < Decoder_params::stable_fraction - 1e-9;
     // A voting capture is measured, and rejected if non-finite, before any
     // state changes, so a rejected capture loses no finalized frame and
     // leaves the decoder usable.
@@ -417,7 +416,7 @@ std::vector<Data_frame_result> Inframe_decoder::push_capture(const img::Imagef& 
     // Cap the number of idle frames emitted for one capture: a wildly
     // future timestamp (clock glitch, fuzzed input) must not turn into
     // millions of empty results. Frames beyond the cap are skipped.
-    if (frame_index - current_frame_ > params_.max_frame_gap) {
+    if (frame_index - current_frame_ > Decoder_params::max_frame_gap) {
         finalized.push_back(finalize());
         current_frame_ = frame_index;
     }
@@ -467,8 +466,7 @@ Data_frame_result Inframe_decoder::finalize()
         std::nth_element(sorted_levels.begin(), sorted_levels.begin() + sorted_levels.size() / 2,
                          sorted_levels.end());
         const double median = sorted_levels[sorted_levels.size() / 2];
-        const double cutoff =
-            std::max(params_.occlusion_level_floor, params_.occlusion_level_fraction * median);
+        const double cutoff = std::max(occlusion_level_floor, occlusion_level_fraction * median);
         occluded.assign(block_count, 0);
         for (std::size_t i = 0; i < block_count; ++i) {
             if (levels[i] < cutoff) {
@@ -504,25 +502,21 @@ Data_frame_result Inframe_decoder::finalize()
                 }
             }
         };
-        if (params_.auto_threshold && params_.row_adaptive) {
-            // Per block-row split: adapts to rolling-shutter bands. Rows
-            // whose classes are inseparable stay unknown.
-            const auto row = static_cast<std::size_t>(params_.geometry.blocks_x);
-            util::Running_stats chosen;
-            for (std::size_t by = 0; by < static_cast<std::size_t>(params_.geometry.blocks_y);
-                 ++by) {
-                const auto split =
-                    split_metrics(std::span(metrics).subspan(by * row, row));
-                if (!split.bimodal) continue;
-                classify(by * row, row, split.value);
-                chosen.add(split.value);
-            }
-            result.threshold = chosen.count() > 0 ? chosen.mean() : 0.0;
-        } else {
-            const double threshold = select_threshold(metrics);
-            result.threshold = threshold;
-            classify(0, block_count, threshold);
+        // Otsu split per block-row. Rolling shutter cancels the pattern in
+        // horizontal bands (rows whose exposure straddles a +D/-D
+        // boundary); a per-row split adapts to the local pattern strength
+        // and — crucially — marks rows whose two classes are not separable
+        // as unknown instead of reading them as confident all-zeros, which
+        // XOR parity cannot catch.
+        const auto row = static_cast<std::size_t>(params_.geometry.blocks_x);
+        util::Running_stats chosen;
+        for (std::size_t by = 0; by < static_cast<std::size_t>(params_.geometry.blocks_y); ++by) {
+            const auto split = split_metrics(std::span(metrics).subspan(by * row, row));
+            if (!split.bimodal) continue;
+            classify(by * row, row, split.value);
+            chosen.add(split.value);
         }
+        result.threshold = chosen.count() > 0 ? chosen.mean() : 0.0;
 
         if (params_.erasure_aware) {
             // Occluded blocks are erasures no matter how confidently the

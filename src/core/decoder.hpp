@@ -63,35 +63,12 @@ struct Decoder_params {
     // Subtract the octave-lower residual (texture compensation).
     bool texture_compensation = true;
 
-    // Threshold selection: automatic (Otsu split of the block metrics) or
-    // fixed.
-    bool auto_threshold = true;
-    double fixed_threshold = 2.0;
-
-    // With auto thresholding, split each block-row separately. Rolling
-    // shutter cancels the pattern in horizontal bands (rows whose exposure
-    // straddles a +D/-D boundary); a per-row split adapts to the local
-    // pattern strength and — crucially — marks rows whose two classes are
-    // not separable as unknown instead of reading them as confident
-    // all-zeros, which XOR parity cannot catch.
-    bool row_adaptive = true;
-
     // Fraction around the threshold treated as "no confident decision".
     double hysteresis = 0.2;
 
-    // Minimum upper-class metric for a split to count as signal: guards
-    // against Otsu "finding" a split inside the noise floor when the
-    // pattern has been destroyed entirely (e.g. defocused capture).
-    double min_signal_level = 0.6;
-
-    // Minimum separation quality d' = (m1 - m0) / pooled-sigma for the
-    // split to be trusted. Classes closer than this misclassify at rates
-    // parity cannot contain, so the row is reported unknown instead.
-    double min_separation_dprime = 3.0;
-
     // Captures whose mid-exposure phase within the tau cycle is at or
     // beyond this fraction are ignored (transition region).
-    double stable_fraction = 0.5;
+    static constexpr double stable_fraction = 0.5;
 
     // Erasure-aware decoding. Blocks flagged unreliable — metric inside
     // the hysteresis band, or mean level far below the frame's median
@@ -101,17 +78,11 @@ struct Decoder_params {
     // hard-decision strawman.
     bool erasure_aware = false;
 
-    // Occlusion mask: a block whose mean captured level is below
-    // max(occlusion_level_floor, occlusion_level_fraction * median block
-    // level) is treated as occluded. Only consulted when erasure_aware.
-    double occlusion_level_fraction = 0.35;
-    double occlusion_level_floor = 16.0;
-
     // Hard cap on the number of idle data frames finalized per capture:
     // a capture timestamped far in the future would otherwise emit one
     // result per skipped frame (unbounded work from one bad input). The
     // region beyond the cap is skipped silently.
-    std::int64_t max_frame_gap = 1024;
+    static constexpr std::int64_t max_frame_gap = 1024;
 
     void validate() const;
 };
@@ -167,10 +138,6 @@ public:
         double dprime = 0.0;
     };
     Threshold_split split_metrics(std::span<const double> metrics) const;
-
-    // The threshold that would be chosen for a metric vector (fixed
-    // threshold when auto selection is off or the split is degenerate).
-    double select_threshold(std::span<const double> metrics) const;
 
     // Sync-layer state reported on telemetry frame records: -1 = sync
     // assumed/unknown (the paper's strawman), 0 = searching, 1 = locked

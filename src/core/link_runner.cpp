@@ -20,6 +20,8 @@ Link_experiment_result run_link_experiment(const Link_experiment_config& config)
     util::expects(config.video->width() == config.inframe.geometry.screen_width
                       && config.video->height() == config.inframe.geometry.screen_height,
                   "link experiment: video size must match geometry");
+    util::expects(config.display.refresh_hz == config.inframe.display_fps,
+                  "link experiment: display refresh rate must equal the InFrame display rate");
 
     // Install the experiment's thread budget for every stage below
     // (encoder embed, channel kernels, decoder metrics). Restored on exit.
@@ -33,8 +35,6 @@ Link_experiment_result run_link_experiment(const Link_experiment_config& config)
         config.inframe, config.camera.sensor_width, config.camera.sensor_height);
     decoder_params.detector = config.detector;
     decoder_params.texture_compensation = config.texture_compensation;
-    decoder_params.auto_threshold = config.auto_threshold;
-    decoder_params.fixed_threshold = config.fixed_threshold;
     decoder_params.hysteresis = config.hysteresis;
     decoder_params.capture_to_screen = config.decoder_capture_to_screen;
     decoder_params.erasure_aware = config.erasure_aware;
@@ -219,8 +219,7 @@ hvs::Panel_result run_flicker_experiment(const Flicker_experiment_config& config
     for (const auto& observer : panel) {
         assessors.emplace_back(config.inframe.geometry.screen_width,
                                config.inframe.geometry.screen_height,
-                               config.inframe.display_fps, config.vision, observer,
-                               config.options);
+                               config.inframe.display_fps, observer, config.options);
     }
 
     // Video -> produce (encoder or the caller's frame_producer) ->

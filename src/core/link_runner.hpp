@@ -41,8 +41,6 @@ struct Link_experiment_config {
     // Decoder overrides applied on top of make_decoder_params.
     Detector detector = Detector::noise_level;
     bool texture_compensation = true;
-    bool auto_threshold = true;
-    double fixed_threshold = 2.0;
     double hysteresis = 0.2;
     std::optional<img::Homography> decoder_capture_to_screen;
 
@@ -104,12 +102,14 @@ struct Link_experiment_result {
     Pipeline_metrics pipeline;
 };
 
+// Throws Contract_violation unless the panel refreshes at the rate the
+// encoder and decoder assume (display.refresh_hz == inframe.display_fps):
+// the link and the decoder's data-frame grouping share one display clock.
 Link_experiment_result run_link_experiment(const Link_experiment_config& config);
 
 struct Flicker_experiment_config {
     std::shared_ptr<const video::Video_source> video;
     Inframe_config inframe;
-    hvs::Vision_model_params vision;
     hvs::Flicker_options options;
     int observers = 8;
     std::uint64_t observer_seed = 42;

@@ -150,7 +150,6 @@ public:
         return ref;
     }
 
-    std::size_t stage_count() const { return stages_.size(); }
 
     // Drives the graph to completion and returns the run's metrics.
     // May be called repeatedly; stages keep their internal state across

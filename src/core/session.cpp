@@ -2,14 +2,14 @@
 
 #include "util/contract.hpp"
 
+#include <algorithm>
+
 namespace inframe::core {
 
-Frame_codec::Frame_codec(int capacity_bits, Session_options options)
+namespace {
+
+coding::Rs_framer make_rs_framer(int capacity_bits, const Session_options& options)
 {
-    if (!options.use_rs) {
-        crc_framer_.emplace(capacity_bits);
-        return;
-    }
     util::expects(options.rs_parity_fraction > 0.0 && options.rs_parity_fraction < 1.0,
                   "session: RS parity fraction must be in (0, 1)");
     const int n = std::min(capacity_bits / 8, 255);
@@ -17,19 +17,25 @@ Frame_codec::Frame_codec(int capacity_bits, Session_options options)
     const int k = n - parity;
     // 12 bytes of protected header; at least one payload byte must fit.
     util::expects(k >= 13, "session: frame capacity too small for RS framing");
-    rs_framer_.emplace(capacity_bits, n, k);
+    return coding::Rs_framer(capacity_bits, n, k);
+}
+
+} // namespace
+
+Frame_codec::Frame_codec(int capacity_bits, Session_options options)
+    : framer_(make_rs_framer(capacity_bits, options))
+{
 }
 
 int Frame_codec::max_payload_bytes() const
 {
-    return rs_framer_ ? rs_framer_->max_payload_bytes() : crc_framer_->max_payload_bytes();
+    return framer_.max_payload_bytes();
 }
 
 std::vector<std::uint8_t> Frame_codec::build(std::uint32_t sequence,
                                              std::span<const std::uint8_t> payload) const
 {
-    return rs_framer_ ? rs_framer_->build(sequence, payload)
-                      : crc_framer_->build(sequence, payload);
+    return framer_.build(sequence, payload);
 }
 
 std::optional<Frame_codec::Parsed> Frame_codec::parse(std::span<const std::uint8_t> bits) const
@@ -41,19 +47,9 @@ std::optional<Frame_codec::Parsed>
 Frame_codec::parse(std::span<const std::uint8_t> bits,
                    std::span<const std::uint8_t> trusted) const
 {
-    Parsed parsed;
-    if (rs_framer_) {
-        const auto inner = rs_framer_->parse(bits, trusted);
-        if (!inner) return std::nullopt;
-        parsed.sequence = inner->sequence;
-        parsed.payload = inner->payload;
-        return parsed;
-    }
-    const auto inner = crc_framer_->parse(bits);
+    auto inner = framer_.parse(bits, trusted);
     if (!inner) return std::nullopt;
-    parsed.sequence = inner->sequence;
-    parsed.payload = inner->payload;
-    return parsed;
+    return Parsed{inner->sequence, std::move(inner->payload)};
 }
 
 Inframe_sender::Inframe_sender(Inframe_config config, std::vector<std::uint8_t> message,

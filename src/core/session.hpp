@@ -1,7 +1,8 @@
 // Sender/receiver sessions: the byte-stream API a downstream application
 // uses. The sender chunks a message into framed data frames (header +
-// CRC, 3.3's framing made concrete) and feeds the encoder; the receiver
-// turns decoded data frames back into ordered payload chunks.
+// CRC inside a Reed-Solomon codeword, 3.3's framing made concrete) and
+// feeds the encoder; the receiver turns decoded data frames back into
+// ordered payload chunks.
 #pragma once
 
 #include "coding/framing.hpp"
@@ -16,18 +17,16 @@ namespace inframe::core {
 // Frame-level protection for sessions. The paper's strawman leaves error
 // correction beyond GOB parity as future work; real message delivery
 // needs it, because one undecodable GOB corrupts the whole frame payload.
+// Every frame is wrapped in a Reed-Solomon codeword so bursts of lost
+// GOBs (rolling-shutter bands) are corrected.
 struct Session_options {
-    // Wrap every frame in a Reed-Solomon codeword so bursts of lost GOBs
-    // (rolling-shutter bands) are corrected. Off = bare CRC framing: a
-    // frame is accepted only if it decodes perfectly.
-    bool use_rs = true;
-
     // Fraction of the RS codeword spent on parity symbols.
     double rs_parity_fraction = 0.55;
 };
 
-// Wraps the CRC-only Payload_framer and the Rs_framer behind one
-// interface so sessions can switch protection modes.
+// Sizes an Rs_framer for a data frame's capacity: RS(n, k) with
+// n = min(capacity / 8, 255) symbols and rs_parity_fraction of them
+// parity.
 class Frame_codec {
 public:
     Frame_codec(int capacity_bits, Session_options options);
@@ -42,14 +41,13 @@ public:
     };
     std::optional<Parsed> parse(std::span<const std::uint8_t> bits) const;
 
-    // Erasure-aware parse (RS mode only): trusted marks reliable bits;
-    // untrusted spans become symbol erasures for the RS decoder.
+    // Erasure-aware parse: trusted marks reliable bits; untrusted spans
+    // become symbol erasures for the RS decoder.
     std::optional<Parsed> parse(std::span<const std::uint8_t> bits,
                                 std::span<const std::uint8_t> trusted) const;
 
 private:
-    std::optional<coding::Payload_framer> crc_framer_;
-    std::optional<coding::Rs_framer> rs_framer_;
+    coding::Rs_framer framer_;
 };
 
 class Inframe_sender {

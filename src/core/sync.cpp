@@ -10,14 +10,24 @@
 
 namespace inframe::core {
 
-Phase_estimator::Phase_estimator(Decoder_params decoder_params, Sync_params sync_params)
-    : decoder_params_(std::move(decoder_params)), sync_params_(sync_params),
-      metric_probe_(decoder_params_),
-      frame_period_(decoder_params_.tau / decoder_params_.display_fps)
+namespace {
+
+// Candidate offsets tested across one data-frame period. Resolution is
+// period / candidates; 48 gives a quarter display frame at tau = 12.
+constexpr int candidates = 48;
+
+// Required best score (d'-based) for a confident lock; matches the
+// decoder's separation gate.
+constexpr double min_lock_score = 3.0;
+
+// Penalty weight on within-frame pattern disagreement.
+constexpr double disagreement_weight = 10.0;
+
+} // namespace
+
+Phase_estimator::Phase_estimator(Decoder_params decoder_params)
+    : metric_probe_(decoder_params), frame_period_(decoder_params.tau / decoder_params.display_fps)
 {
-    util::expects(sync_params.candidates >= 8, "sync: need at least 8 candidate offsets");
-    util::expects(sync_params.min_captures >= 8, "sync: need at least 8 captures");
-    util::expects(sync_params.min_lock_score >= 0.0, "sync: lock score must be non-negative");
 }
 
 void Phase_estimator::push_capture(const img::Imagef& capture, double receiver_time)
@@ -36,7 +46,7 @@ double Phase_estimator::score_candidate(double offset) const
         if (shifted < 0.0) continue;
         const auto frame = static_cast<std::int64_t>(std::floor(shifted / frame_period_));
         const double phase = shifted / frame_period_ - static_cast<double>(frame);
-        if (phase < decoder_params_.stable_fraction - 1e-9) {
+        if (phase < Decoder_params::stable_fraction - 1e-9) {
             frames[frame].push_back(&observation);
         }
     }
@@ -69,22 +79,21 @@ double Phase_estimator::score_candidate(double offset) const
     }
     if (dprimes.count() < 3) return -1e9;
     const double mean_disagreement = pairs > 0 ? disagreement / static_cast<double>(pairs) : 0.0;
-    return dprimes.mean() - sync_params_.disagreement_weight * mean_disagreement;
+    return dprimes.mean() - disagreement_weight * mean_disagreement;
 }
 
 std::optional<double> Phase_estimator::estimated_offset() const
 {
     if (cached_offset_) return cached_offset_;
-    if (static_cast<int>(observations_.size()) < sync_params_.min_captures) {
+    if (static_cast<int>(observations_.size()) < min_captures) {
         return std::nullopt;
     }
 
     telemetry::Scoped_span span("sync.estimate");
     double best_score = -1e9;
     double best_offset = 0.0;
-    for (int c = 0; c < sync_params_.candidates; ++c) {
-        const double offset =
-            frame_period_ * static_cast<double>(c) / sync_params_.candidates;
+    for (int c = 0; c < candidates; ++c) {
+        const double offset = frame_period_ * static_cast<double>(c) / candidates;
         const double score = score_candidate(offset);
         if (score > best_score) {
             best_score = score;
@@ -96,7 +105,7 @@ std::optional<double> Phase_estimator::estimated_offset() const
     static const int score_metric =
         telemetry::intern_metric("sync.lock_score", telemetry::Metric_kind::gauge);
     telemetry::gauge_set(score_metric, best_score);
-    if (best_score < sync_params_.min_lock_score) {
+    if (best_score < min_lock_score) {
         telemetry::emit_event({"sync", "search", static_cast<std::int64_t>(observations_.size()),
                                best_score});
         return std::nullopt;
@@ -107,8 +116,8 @@ std::optional<double> Phase_estimator::estimated_offset() const
     return cached_offset_;
 }
 
-Synced_decoder::Synced_decoder(Decoder_params params, Sync_params sync_params)
-    : params_(std::move(params)), estimator_(params_, sync_params)
+Synced_decoder::Synced_decoder(Decoder_params params)
+    : params_(std::move(params)), estimator_(params_)
 {
 }
 

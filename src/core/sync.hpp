@@ -22,26 +22,13 @@
 
 namespace inframe::core {
 
-struct Sync_params {
-    // Candidate offsets tested across one data-frame period. Resolution is
-    // period / candidates; 48 gives a quarter display frame at tau = 12.
-    int candidates = 48;
-
-    // Captures required before an estimate is produced. Each data frame
-    // spans ~tau/4 captures, so 24 covers several boundaries.
-    int min_captures = 24;
-
-    // Required best score (d'-based) for a confident lock; matches the
-    // decoder's separation gate.
-    double min_lock_score = 3.0;
-
-    // Penalty weight on within-frame pattern disagreement.
-    double disagreement_weight = 10.0;
-};
-
 class Phase_estimator {
 public:
-    Phase_estimator(Decoder_params decoder_params, Sync_params sync_params = {});
+    // Captures required before an estimate is produced. Each data frame
+    // spans ~tau/4 captures, so 24 covers several boundaries.
+    static constexpr int min_captures = 24;
+
+    explicit Phase_estimator(Decoder_params decoder_params);
 
     // Feeds a capture stamped with the *receiver's* clock.
     void push_capture(const img::Imagef& capture, double receiver_time);
@@ -54,13 +41,9 @@ public:
     // Diagnostic: the winning candidate's score.
     double lock_score() const { return lock_score_; }
 
-    std::size_t captures_seen() const { return observations_.size(); }
-
 private:
     double score_candidate(double offset) const;
 
-    Decoder_params decoder_params_;
-    Sync_params sync_params_;
     Inframe_decoder metric_probe_;
     double frame_period_;
 
@@ -77,7 +60,7 @@ private:
 // through a decoder with corrected timestamps and keeps decoding live.
 class Synced_decoder {
 public:
-    Synced_decoder(Decoder_params params, Sync_params sync_params = {});
+    explicit Synced_decoder(Decoder_params params);
 
     // Returns finalized data frames (empty until phase lock).
     std::vector<Data_frame_result> push_capture(const img::Imagef& capture,

@@ -13,6 +13,9 @@ namespace inframe::hvs {
 
 namespace {
 
+// Frames to ignore while the temporal filters settle.
+constexpr double warmup_seconds = 0.5;
+
 struct Pooling_kernel {
     int radius = 0;
     std::vector<float> weights; // (2r+1)^2, normalized
@@ -69,7 +72,6 @@ struct Flicker_assessor::Impl {
     int width;
     int height;
     double fps;
-    Vision_model_params params;
     Observer observer;
     Flicker_options options;
     Pooling_kernel kernel;
@@ -77,15 +79,14 @@ struct Flicker_assessor::Impl {
     std::size_t frames_seen = 0;
     std::size_t warmup_frames = 0;
 
-    Impl(int w, int h, double f, Vision_model_params p, Observer o, Flicker_options opts)
-        : width(w), height(h), fps(f), params(p), observer(std::move(o)), options(opts),
+    Impl(int w, int h, double f, Observer o, Flicker_options opts)
+        : width(w), height(h), fps(f), observer(std::move(o)), options(opts),
           kernel(Pooling_kernel::make(std::max(0.3, opts.pooling_sigma_540 * h / 540.0)))
     {
         util::expects(w > 0 && h > 0, "Flicker_assessor frame size must be positive");
         util::expects(f > 0.0, "Flicker_assessor fps must be positive");
         util::expects(opts.max_sites >= 1, "Flicker_assessor needs at least one site");
-        util::expects(opts.warmup_seconds >= 0.0, "warmup must be non-negative");
-        warmup_frames = static_cast<std::size_t>(opts.warmup_seconds * f);
+        warmup_frames = static_cast<std::size_t>(warmup_seconds * f);
         place_sites();
     }
 
@@ -127,7 +128,7 @@ struct Flicker_assessor::Impl {
             // Gaze drift (phantom-array condition): the retinal site slides
             // across the screen; wrap keeps it on-frame for long runs.
             double sx = site.x + options.gaze_velocity_x * t;
-            double sy = site.y + options.gaze_velocity_y * t;
+            double sy = site.y;
             if (width > 1) sx = std::fmod(std::fmod(sx, width - 1) + (width - 1), width - 1);
             if (height > 1) sy = std::fmod(std::fmod(sy, height - 1) + (height - 1), height - 1);
             double pooled = kernel.sample(frame, sx, sy);
@@ -137,7 +138,7 @@ struct Flicker_assessor::Impl {
                                          ? kernel.sample(reference, sx, sy)
                                          : pooled;
                 site.adapt_luminance = adapt;
-                site.filter.emplace(params, observer, adapt, fps);
+                site.filter.emplace(observer, adapt, fps);
                 site.filter->prime(adapt);
             }
             if (reference_in != nullptr) {
@@ -166,7 +167,7 @@ struct Flicker_assessor::Impl {
         ratios.reserve(sites.size());
         double mean_luminance = 0.0;
         for (const auto& site : sites) {
-            const double threshold = amplitude_threshold(params, observer, site.adapt_luminance);
+            const double threshold = amplitude_threshold(observer, site.adapt_luminance);
             ratios.push_back(site.peak_amplitude / threshold);
             mean_luminance += site.adapt_luminance;
             r.peak_perceived_amplitude = std::max(r.peak_perceived_amplitude, site.peak_amplitude);
@@ -184,9 +185,9 @@ struct Flicker_assessor::Impl {
     }
 };
 
-Flicker_assessor::Flicker_assessor(int width, int height, double fps, Vision_model_params params,
-                                   Observer observer, Flicker_options options)
-    : impl_(std::make_unique<Impl>(width, height, fps, params, std::move(observer), options))
+Flicker_assessor::Flicker_assessor(int width, int height, double fps, Observer observer,
+                                   Flicker_options options)
+    : impl_(std::make_unique<Impl>(width, height, fps, std::move(observer), options))
 {
 }
 
@@ -220,18 +221,15 @@ int Flicker_assessor::height() const
 }
 
 Flicker_result assess_flicker(std::span<const img::Imagef> frames, double fps,
-                              const Vision_model_params& params, const Observer& observer,
-                              const Flicker_options& options)
+                              const Observer& observer, const Flicker_options& options)
 {
     util::expects(!frames.empty(), "assess_flicker needs at least one frame");
-    Flicker_assessor assessor(frames[0].width(), frames[0].height(), fps, params, observer,
-                              options);
+    Flicker_assessor assessor(frames[0].width(), frames[0].height(), fps, observer, options);
     for (const auto& frame : frames) assessor.push_frame(frame);
     return assessor.result();
 }
 
 Panel_result assess_flicker_panel(std::span<const img::Imagef> frames, double fps,
-                                  const Vision_model_params& params,
                                   std::span<const Observer> panel,
                                   const Flicker_options& options)
 {
@@ -239,7 +237,7 @@ Panel_result assess_flicker_panel(std::span<const img::Imagef> frames, double fp
     Panel_result result;
     util::Running_stats stats;
     for (const auto& observer : panel) {
-        const auto r = assess_flicker(frames, fps, params, observer, options);
+        const auto r = assess_flicker(frames, fps, observer, options);
         result.scores.push_back(r.score);
         stats.add(r.score);
     }

@@ -9,10 +9,10 @@
 // Perceptual_filter band-pass. The verdict is driven by the worst sites:
 // flicker anywhere on the screen is flicker.
 //
-// An optional constant-velocity gaze drift models the phantom-array
-// condition: a moving retina turns the temporally-alternating chessboard
-// into a spatial pattern that no longer cancels, which is why the paper
-// keeps super Pixels near the eye's resolution limit.
+// An optional horizontal gaze drift models the phantom-array condition: a
+// moving retina turns the temporally-alternating chessboard into a spatial
+// pattern that no longer cancels, which is why the paper keeps super
+// Pixels near the eye's resolution limit.
 #pragma once
 
 #include "hvs/temporal_model.hpp"
@@ -33,13 +33,9 @@ struct Flicker_options {
     // stable: sigma_px = pooling_sigma_540 * height / 540.
     double pooling_sigma_540 = 1.0;
 
-    // Frames to ignore while the temporal filters settle.
-    double warmup_seconds = 0.5;
-
-    // Gaze drift in pixels per frame (phantom-array condition); 0 = steady
-    // fixation.
+    // Horizontal gaze drift in pixels per frame (phantom-array
+    // condition); 0 = steady fixation.
     double gaze_velocity_x = 0.0;
-    double gaze_velocity_y = 0.0;
 
     // Site placement jitter seed.
     std::uint64_t seed = 9;
@@ -64,8 +60,8 @@ struct Flicker_result {
 
 class Flicker_assessor {
 public:
-    Flicker_assessor(int width, int height, double fps, Vision_model_params params,
-                     Observer observer, Flicker_options options = {});
+    Flicker_assessor(int width, int height, double fps, Observer observer,
+                     Flicker_options options = {});
     ~Flicker_assessor();
 
     Flicker_assessor(Flicker_assessor&&) noexcept;
@@ -95,8 +91,7 @@ private:
 
 // Convenience: assess a pre-rendered sequence with one observer.
 Flicker_result assess_flicker(std::span<const img::Imagef> frames, double fps,
-                              const Vision_model_params& params, const Observer& observer,
-                              const Flicker_options& options = {});
+                              const Observer& observer, const Flicker_options& options = {});
 
 // Panel study: mean and standard deviation of the score over a panel, as
 // the paper reports in Fig. 6. Scores are per-observer assessments of the
@@ -108,7 +103,6 @@ struct Panel_result {
 };
 
 Panel_result assess_flicker_panel(std::span<const img::Imagef> frames, double fps,
-                                  const Vision_model_params& params,
                                   std::span<const Observer> panel,
                                   const Flicker_options& options = {});
 

@@ -21,7 +21,7 @@ struct Observer {
 
     // Perceived-amplitude visibility threshold at the reference luminance,
     // in pixel-value units. Smaller = more sensitive viewer. Calibrated
-    // jointly with Vision_model_params::cff_to_corner (see there).
+    // jointly with the cascade's CFF-to-corner ratio (temporal_model.cpp).
     double amp_threshold = 0.7;
 
     std::string label = "reference";

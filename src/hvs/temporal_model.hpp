@@ -23,68 +23,34 @@
 
 namespace inframe::hvs {
 
-struct Vision_model_params {
-    // Reference luminance (pixel value) at which Observer parameters hold.
-    double luminance_ref = 100.0;
-
-    // Ferry-Porter slope: CFF gain in Hz per decade of luminance.
-    double ferry_porter_slope_hz = 12.0;
-
-    // Stages in the low-pass cascade. Ten stages with the corner right at
-    // CFF give the de Lange-curve shape: nearly flat below ~20 Hz, a cliff
-    // between 30 and 60 Hz (gain ratio ~25x), which is the separation the
-    // complementary-frame design exploits.
-    int cascade_stages = 10;
-
-    // Relation between CFF and the per-stage corner frequency. Calibrated
-    // (with amp_threshold) against two anchors: +-20 around level 127 at
-    // 30 Hz is strong flicker (visibility ratio ~5-6), and full-contrast
-    // 60 Hz sits at threshold (large bright 60 Hz fields are borderline,
-    // as CRT experience showed).
-    double cff_to_corner = 1.0;
-
-    // Internal filter rate (Hz): display output is zero-order-held and the
-    // retina integrates continuously, so the cascade runs at >= this rate
-    // with the frame value held between display samples.
-    double min_internal_rate_hz = 960.0;
-
-    // Corner of the slow adaptation path that is subtracted (Hz).
-    double adapt_cutoff_hz = 2.0;
-
-    // Exponent of the amplitude threshold vs. luminance: negative means
-    // brighter scenes reveal smaller ripples.
-    double threshold_luminance_exponent = -0.25;
-};
+// Ferry-Porter slope: CFF gain in Hz per decade of luminance, above the
+// observer's CFF at the reference luminance (pixel level 100).
+inline constexpr double ferry_porter_slope_hz = 12.0;
 
 // Luminance-adapted CFF for an observer (Ferry-Porter law).
-double cff_hz(const Vision_model_params& params, const Observer& observer, double luminance);
+double cff_hz(const Observer& observer, double luminance);
 
 // Per-stage corner frequency of the cascade for the adapted CFF.
-double corner_frequency_hz(const Vision_model_params& params, const Observer& observer,
-                           double luminance);
+double corner_frequency_hz(const Observer& observer, double luminance);
 
 // Amplitude visibility threshold (pixel-value units) at the luminance.
-double amplitude_threshold(const Vision_model_params& params, const Observer& observer,
-                           double luminance);
+double amplitude_threshold(const Observer& observer, double luminance);
 
 // Steady-state gain of the perceptual band-pass at a frequency. The
 // response is H_fast(f) * (1 - H_adapt(f)): the front-end low-pass cascade
 // followed by subtractive adaptation of its own slow component. Computed
 // from the exact discrete-time responses at the given sample rate.
-double perceptual_gain(const Vision_model_params& params, const Observer& observer,
-                       double luminance, double frequency_hz,
+double perceptual_gain(const Observer& observer, double luminance, double frequency_hz,
                        double sample_rate_hz = 120.0);
 
 // Streaming band-pass stage for one retinal site: feed display-rate
 // luminance samples, read back the perceived deviation.
 class Perceptual_filter {
 public:
-    Perceptual_filter(const Vision_model_params& params, const Observer& observer,
-                      double adapt_luminance, double sample_rate_hz);
+    Perceptual_filter(const Observer& observer, double adapt_luminance, double sample_rate_hz);
 
     // Returns the perceived deviation (fast path minus adaptation path).
     double step(double luminance_sample);
-    void reset();
 
     // Settles both paths at a steady luminance (no start-up transient).
     void prime(double luminance);
@@ -97,9 +63,9 @@ private:
 
 // Offline helper: perceived peak deviation of a waveform after warmup.
 // Useful for waveform-level analysis (Fig. 5 style) and unit tests.
-double perceived_peak_amplitude(const Vision_model_params& params, const Observer& observer,
-                                std::span<const double> waveform, double sample_rate_hz,
-                                double adapt_luminance, double warmup_seconds = 0.5);
+double perceived_peak_amplitude(const Observer& observer, std::span<const double> waveform,
+                                double sample_rate_hz, double adapt_luminance,
+                                double warmup_seconds = 0.5);
 
 // Maps a visibility ratio (perceived amplitude / threshold) to the paper's
 // 0-4 subjective scale: r <= 0.5 -> 0 ("no difference"), r == 1 -> 1

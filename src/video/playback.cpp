@@ -3,17 +3,32 @@
 #include "util/contract.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace inframe::video {
 
+namespace {
+
+void check_rates(const Playback_schedule& schedule)
+{
+    util::expects(std::isfinite(schedule.display_fps) && schedule.display_fps > 0.0
+                      && std::isfinite(schedule.video_fps) && schedule.video_fps > 0.0,
+                  "playback rates must be finite and positive");
+}
+
+} // namespace
+
 int Playback_schedule::repeats_per_video_frame() const
 {
-    util::expects(display_fps > 0.0 && video_fps > 0.0, "playback rates must be positive");
+    check_rates(*this);
     const double ratio = display_fps / video_fps;
-    const int repeats = static_cast<int>(std::lround(ratio));
-    util::expects(std::fabs(ratio - repeats) < 1e-9 && repeats >= 1,
+    // An overflowing ratio (inf) fails the integer test, as does one past
+    // int range, before any conversion.
+    const double repeats = std::round(ratio);
+    util::expects(std::fabs(ratio - repeats) < 1e-9 && repeats >= 1.0
+                      && repeats <= static_cast<double>(std::numeric_limits<int>::max()),
                   "display rate must be an integer multiple of the video rate");
-    return repeats;
+    return static_cast<int>(repeats);
 }
 
 std::int64_t Playback_schedule::video_frame_for_display(std::int64_t display_index) const
@@ -24,6 +39,7 @@ std::int64_t Playback_schedule::video_frame_for_display(std::int64_t display_ind
 
 double Playback_schedule::display_time(std::int64_t display_index) const
 {
+    check_rates(*this);
     util::expects(display_index >= 0, "display index must be non-negative");
     return static_cast<double>(display_index) / display_fps;
 }

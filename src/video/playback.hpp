@@ -10,6 +10,8 @@
 
 namespace inframe::video {
 
+// Every method throws Contract_violation unless both rates are finite and
+// positive.
 struct Playback_schedule {
     double display_fps = 120.0;
     double video_fps = 30.0;

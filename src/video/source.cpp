@@ -14,6 +14,12 @@ namespace inframe::video {
 
 namespace {
 
+// Pixel values live in [0, 255]; NaN fails both comparisons.
+bool is_pixel_level(float level)
+{
+    return level >= 0.0f && level <= 255.0f;
+}
+
 // Integer lattice hash -> [0, 1). Mixes coordinates and seed through the
 // splitmix64 finalizer so neighbouring lattice points decorrelate.
 double lattice_value(std::int64_t ix, std::int64_t iy, std::uint64_t seed)
@@ -84,7 +90,7 @@ Solid_video::Solid_video(int width, int height, float level, double fps)
     : width_(width), height_(height), level_(level), fps_(fps)
 {
     util::expects(width > 0 && height > 0, "Solid_video dimensions must be positive");
-    util::expects(std::isfinite(level), "Solid_video level must be finite");
+    util::expects(is_pixel_level(level), "Solid_video level must be in [0, 255]");
     util::expects(std::isfinite(fps) && fps > 0.0, "Solid_video fps must be positive and finite");
 }
 
@@ -196,8 +202,8 @@ Moving_bars_video::Moving_bars_video(int width, int height, int bar_width,
     util::expects(width > 0 && height > 0, "Moving_bars_video dimensions must be positive");
     util::expects(bar_width > 0, "Moving_bars_video bar width must be positive");
     util::expects(std::isfinite(speed_px_per_frame), "Moving_bars_video speed must be finite");
-    util::expects(std::isfinite(lo) && std::isfinite(hi),
-                  "Moving_bars_video levels must be finite");
+    util::expects(is_pixel_level(lo) && is_pixel_level(hi),
+                  "Moving_bars_video levels must be in [0, 255]");
     util::expects(std::isfinite(fps) && fps > 0.0,
                   "Moving_bars_video fps must be positive and finite");
 }
@@ -223,7 +229,7 @@ Noise_video::Noise_video(int width, int height, float mean_level, float stddev, 
       seed_(seed)
 {
     util::expects(width > 0 && height > 0, "Noise_video dimensions must be positive");
-    util::expects(std::isfinite(mean_level), "Noise_video mean level must be finite");
+    util::expects(is_pixel_level(mean_level), "Noise_video mean level must be in [0, 255]");
     util::expects(std::isfinite(stddev) && stddev >= 0.0f,
                   "Noise_video stddev must be finite and non-negative");
     util::expects(std::isfinite(fps) && fps > 0.0, "Noise_video fps must be positive and finite");
@@ -284,8 +290,8 @@ Ticker_video::Ticker_video(int width, int height, std::string text, float speed_
     util::expects(width > 0 && height > 0, "Ticker_video dimensions must be positive");
     util::expects(!text_.empty(), "Ticker_video needs text");
     util::expects(std::isfinite(speed_px_per_frame), "Ticker_video speed must be finite");
-    util::expects(std::isfinite(background) && std::isfinite(ink),
-                  "Ticker_video levels must be finite");
+    util::expects(is_pixel_level(background) && is_pixel_level(ink),
+                  "Ticker_video levels must be in [0, 255]");
     util::expects(std::isfinite(fps) && fps > 0.0, "Ticker_video fps must be positive and finite");
     // 5x7 glyphs with 1-column gaps at scale 2.
     text_width_px_ = static_cast<int>(text_.size()) * 12;
@@ -313,8 +319,8 @@ Tinted_video::Tinted_video(std::shared_ptr<const Video_source> inner, Tint dark,
 {
     util::expects(inner_ != nullptr, "Tinted_video requires a source");
     for (const Tint& tint : {dark, light}) {
-        util::expects(std::isfinite(tint.r) && std::isfinite(tint.g) && std::isfinite(tint.b),
-                      "Tinted_video tints must be finite");
+        util::expects(is_pixel_level(tint.r) && is_pixel_level(tint.g) && is_pixel_level(tint.b),
+                      "Tinted_video tints must be in [0, 255]");
     }
 }
 

@@ -38,7 +38,8 @@ public:
     virtual std::string name() const = 0;
 };
 
-// Constant-color frames ("pure gray" / "pure dark gray" in the paper).
+// Constant-color frames ("pure gray" / "pure dark gray" in the paper). The
+// level must be in [0, 255].
 class Solid_video final : public Video_source {
 public:
     Solid_video(int width, int height, float level, double fps = 30.0);
@@ -83,7 +84,8 @@ private:
 };
 
 // Vertical bars scrolling horizontally: a motion/edge stress input. The
-// speed must be finite; a negative speed scrolls left.
+// speed must be finite; a negative speed scrolls left. The bar levels lo
+// and hi must be in [0, 255].
 class Moving_bars_video final : public Video_source {
 public:
     Moving_bars_video(int width, int height, int bar_width, float speed_px_per_frame,
@@ -106,7 +108,7 @@ private:
 };
 
 // Independent per-frame noise around a mid level: the decoder's worst-case
-// texture input.
+// texture input. The mean level must be in [0, 255].
 class Noise_video final : public Video_source {
 public:
     Noise_video(int width, int height, float mean_level, float stddev, double fps = 30.0,
@@ -182,7 +184,7 @@ private:
 // strokes moving horizontally — text is exactly the content a broadcaster
 // overlays on live video, and its sharp edges probe the decoder's texture
 // rejection. The text scrolls left; a negative speed scrolls it right. The
-// speed must be finite.
+// speed must be finite; background and ink must be in [0, 255].
 class Ticker_video final : public Video_source {
 public:
     Ticker_video(int width, int height, std::string text, float speed_px_per_frame,

@@ -67,18 +67,6 @@ TEST(Display, ResponseConvergesOverRefreshes)
     for (const float v : out.values()) EXPECT_NEAR(v, 100.0f, 0.1f);
 }
 
-TEST(Display, ResetForgetsHistory)
-{
-    Display_params params;
-    params.response_persistence = 0.5;
-    params.black_level = 0.0;
-    Display_model display(params);
-    display.emit(Imagef(4, 4, 1, 0.0f));
-    display.reset();
-    const Imagef out = display.emit(Imagef(4, 4, 1, 100.0f));
-    for (const float v : out.values()) EXPECT_FLOAT_EQ(v, 100.0f);
-}
-
 TEST(Display, OutputIsClampedTo8BitRange)
 {
     Display_params params;

@@ -50,7 +50,6 @@ TEST(Impairment, DrawSeedIsPureFunction)
 
 TEST(Impairment, EmptyConfigBuildsEmptyChain)
 {
-    EXPECT_FALSE(Impairment_config{}.any());
     EXPECT_TRUE(make_impairment_chain(Impairment_config{}).empty());
 }
 
@@ -72,13 +71,8 @@ TEST(Impairment, ConfigValidationRejectsNonFiniteShakeAndTear)
         Impairment_config config;
         config.shake_sigma_px = bad;
         EXPECT_THROW(make_impairment_chain(config), util::Contract_violation) << bad;
-        config = {};
-        config.shake_sigma_px = 1.0;
-        config.shake_max_px = bad;
-        EXPECT_THROW(make_impairment_chain(config), util::Contract_violation) << bad;
         // Custom chains build the stages directly.
-        EXPECT_THROW(Shake_impairment(1, bad, 6.0), util::Contract_violation) << bad;
-        EXPECT_THROW(Shake_impairment(1, 1.0, bad), util::Contract_violation) << bad;
+        EXPECT_THROW(Shake_impairment(1, bad), util::Contract_violation) << bad;
     }
     // Shifts whose rounded value is not an int.
     for (const double bad : {inf, -inf, nan, 3e9, -3e9}) {
@@ -127,29 +121,30 @@ TEST(Impairment, DuplicationDeliversStaleFrame)
 
 TEST(Impairment, ExposureDriftScalesMeanAndIsDeterministic)
 {
-    Exposure_drift_impairment drift(0.2, 8.0, 0.0);
+    Exposure_drift_impairment drift(0.2, 0.0);
     // Peak of the sine: k = period / 4.
-    EXPECT_NEAR(drift.gain_at(2), 1.2, 1e-12);
+    constexpr auto peak = static_cast<std::int64_t>(Exposure_drift_impairment::period / 4);
+    EXPECT_NEAR(drift.gain_at(peak), 1.2, 1e-12);
     auto image = gradient_image();
     const double before = img::mean(image);
-    ASSERT_EQ(drift.apply(image, 2), Capture_fate::delivered);
+    ASSERT_EQ(drift.apply(image, peak), Capture_fate::delivered);
     EXPECT_NEAR(img::mean(image), before * 1.2, 0.5);
 
     // Same capture index, same transform.
     auto again = gradient_image();
-    Exposure_drift_impairment drift2(0.2, 8.0, 0.0);
-    ASSERT_EQ(drift2.apply(again, 2), Capture_fate::delivered);
+    Exposure_drift_impairment drift2(0.2, 0.0);
+    ASSERT_EQ(drift2.apply(again, peak), Capture_fate::delivered);
     EXPECT_EQ(image_crc(again), image_crc(image));
 }
 
 TEST(Impairment, ShakeTranslatesImage)
 {
-    Shake_impairment shake(11, 1.5, 6.0);
+    Shake_impairment shake(11, 1.5);
     double dx = 0.0;
     double dy = 0.0;
     shake.jitter_at(0, dx, dy);
-    EXPECT_LE(std::abs(dx), 6.0);
-    EXPECT_LE(std::abs(dy), 6.0);
+    EXPECT_LE(std::abs(dx), Shake_impairment::max_px);
+    EXPECT_LE(std::abs(dy), Shake_impairment::max_px);
 
     auto image = gradient_image();
     const auto original = gradient_image();
@@ -189,7 +184,7 @@ TEST(Impairment, ShakeOutputMatchesFrozenCrcs)
         {"97x55x3 sigma 20", 97, 55, 3, 20.0, 0xe7267ac4u},
     };
     for (const auto& c : cases) {
-        Shake_impairment shake(21, c.sigma_px, 6.0);
+        Shake_impairment shake(21, c.sigma_px);
         const auto original = textured_image(c.width, c.height, c.channels, 5);
         util::Crc32 crc;
         bool clamped = false;
@@ -197,7 +192,8 @@ TEST(Impairment, ShakeOutputMatchesFrozenCrcs)
             double dx = 0.0;
             double dy = 0.0;
             shake.jitter_at(k, dx, dy);
-            clamped = clamped || std::abs(dx) == 6.0 || std::abs(dy) == 6.0;
+            clamped = clamped || std::abs(dx) == Shake_impairment::max_px
+                      || std::abs(dy) == Shake_impairment::max_px;
             auto image = original;
             ASSERT_EQ(shake.apply(image, k), Capture_fate::delivered);
             const auto values = image.values();
@@ -205,7 +201,8 @@ TEST(Impairment, ShakeOutputMatchesFrozenCrcs)
                         values.size() * sizeof(float)});
         }
         EXPECT_EQ(crc.value(), c.crc) << c.name << ": got 0x" << std::hex << crc.value();
-        EXPECT_EQ(clamped, c.sigma_px > 6.0) << c.name << ": the clamp must bind only at sigma 20";
+        EXPECT_EQ(clamped, c.sigma_px > Shake_impairment::max_px)
+            << c.name << ": the clamp must bind only at sigma 20";
     }
 }
 
@@ -312,12 +309,11 @@ TEST(Impairment, OcclusionCoversRequestedFraction)
     Impairment_config config;
     config.occlusion_fraction = 0.2;
     config.occlusion_count = 2;
-    config.occlusion_level = 3.0f;
     auto chain = make_impairment_chain(config);
     img::Imagef image(200, 150, 1, 128.0f);
     ASSERT_EQ(chain.apply(image, 0), Capture_fate::delivered);
     std::size_t covered = 0;
-    for (const auto v : image.values()) covered += v == 3.0f;
+    for (const auto v : image.values()) covered += v == Occlusion_impairment::level;
     const double fraction = static_cast<double>(covered) / image.pixel_count();
     // Rectangles can clip at the border or overlap; allow slack below,
     // (almost) none above — they can never exceed their combined area.
@@ -383,9 +379,13 @@ TEST(Impairment, LinkWithEmptyConfigMatchesPlainLink)
     camera.sensor_width = 64;
     camera.sensor_height = 48;
 
+    // A config with every impairment off builds no stage, whatever its
+    // seed: the link's captures match the default clean link's.
+    Impairment_config reseeded;
+    reseeded.seed = 12345;
     const img::Imagef frame(64, 48, 1, 100.0f);
     Screen_camera_link plain(display, camera, 64, 48);
-    Screen_camera_link impaired(display, camera, 64, 48, Impairment_config{});
+    Screen_camera_link impaired(display, camera, 64, 48, reseeded);
     for (int j = 0; j < 24; ++j) {
         auto a = plain.push_display_frame(frame);
         auto b = impaired.push_display_frame(frame);

@@ -92,16 +92,6 @@ TEST(Decoder, SplitFlagsUnimodalMetrics)
     EXPECT_FALSE(decoder.split_metrics(metrics).bimodal);
 }
 
-TEST(Decoder, FixedThresholdUsedWhenAutoDisabled)
-{
-    auto params = small_decoder(small_config());
-    params.auto_threshold = false;
-    params.fixed_threshold = 3.5;
-    Inframe_decoder decoder(params);
-    const std::vector<double> metrics(100, 1.0);
-    EXPECT_DOUBLE_EQ(decoder.select_threshold(metrics), 3.5);
-}
-
 TEST(Decoder, EndToEndCleanCaptureDecodesExactly)
 {
     const auto config = small_config();
@@ -221,9 +211,6 @@ TEST(Decoder, ParamsValidation)
     EXPECT_THROW(Inframe_decoder{params}, Contract_violation);
     params = small_decoder(small_config());
     params.hysteresis = 1.5;
-    EXPECT_THROW(Inframe_decoder{params}, Contract_violation);
-    params = small_decoder(small_config());
-    params.stable_fraction = 0.0;
     EXPECT_THROW(Inframe_decoder{params}, Contract_violation);
     params = small_decoder(small_config());
     params.capture_width = 0;

@@ -100,6 +100,18 @@ TEST(LinkRunner, ValidatesInputs)
 
     config = clean_rig(video::make_dark_gray_video(960, 540)); // size mismatch
     EXPECT_THROW(run_link_experiment(config), util::Contract_violation);
+
+    // A valid 60 Hz InFrame config on the default 120 Hz panel would run
+    // the link on one clock and group data frames on the other: the
+    // decoder reads garbage while reporting every GOB available.
+    config = clean_rig(video::make_dark_gray_video(480, 270));
+    config.inframe.display_fps = 60.0;
+    ASSERT_NO_THROW(config.inframe.validate());
+    EXPECT_THROW(run_link_experiment(config), util::Contract_violation);
+    // The same config on a matching 60 Hz panel runs.
+    config.display.refresh_hz = 60.0;
+    config.duration_s = 0.25;
+    EXPECT_NO_THROW(run_link_experiment(config));
 }
 
 TEST(LinkRunner, DeterministicForFixedSeeds)

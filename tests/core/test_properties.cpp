@@ -162,22 +162,17 @@ TEST_P(GobAccounting, IdentitiesHoldForRandomDecisionPatterns)
 INSTANTIATE_TEST_SUITE_P(RandomPatterns, GobAccounting, ::testing::Range(1, 9));
 
 // ---------------------------------------------------------------------
-// Invariant 4: Frame_codec round-trips any payload size it admits, in
-// both protection modes.
+// Invariant 4: Frame_codec round-trips any payload size it admits.
 // ---------------------------------------------------------------------
 
-using Codec_params = std::tuple<bool, int>; // use_rs, payload size
-
-class CodecRoundtrip : public ::testing::TestWithParam<Codec_params> {};
+class CodecRoundtrip : public ::testing::TestWithParam<int> {}; // payload size
 
 TEST_P(CodecRoundtrip, BuildParseIdentity)
 {
-    const auto [use_rs, payload_bytes] = GetParam();
-    Session_options options;
-    options.use_rs = use_rs;
-    const Frame_codec codec(1125, options);
+    const int payload_bytes = GetParam();
+    const Frame_codec codec(1125, Session_options{});
     ASSERT_LE(payload_bytes, codec.max_payload_bytes());
-    Prng prng(static_cast<std::uint64_t>(payload_bytes) + (use_rs ? 1000 : 0));
+    Prng prng(static_cast<std::uint64_t>(payload_bytes) + 1000);
     std::vector<std::uint8_t> payload(static_cast<std::size_t>(payload_bytes));
     prng.fill_bytes(payload);
     const auto bits = codec.build(42, payload);
@@ -188,9 +183,7 @@ TEST_P(CodecRoundtrip, BuildParseIdentity)
     EXPECT_EQ(parsed->payload, payload);
 }
 
-INSTANTIATE_TEST_SUITE_P(ModesAndSizes, CodecRoundtrip,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Values(0, 1, 17, 28)));
+INSTANTIATE_TEST_SUITE_P(PayloadSizes, CodecRoundtrip, ::testing::Values(0, 1, 17, 28));
 
 // ---------------------------------------------------------------------
 // Invariant 5: erasure-aware parsing recovers frames whose untrusted
@@ -294,9 +287,7 @@ TEST(RandomizedRoundtrip, RsFramingSurvivesBoundedErrorsAndErasures)
     // budget n - k = 77 symbols). Each flipped bit corrupts at most one
     // symbol and each 24-bit untrusted run at most 4, so the injected
     // pattern below stays well inside 2e + s <= n - k for every draw.
-    Session_options options;
-    options.use_rs = true;
-    const Frame_codec codec(1125, options);
+    const Frame_codec codec(1125, Session_options{});
     for (std::uint64_t seed = 1; seed <= 500; ++seed) {
         Prng prng(seed * 0xd1b5'4a32'd192'ed03ULL);
         std::vector<std::uint8_t> payload(prng.next_below(

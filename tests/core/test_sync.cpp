@@ -182,23 +182,6 @@ TEST(SyncedDecoder, StaysSilentBeforeLock)
     EXPECT_FALSE(decoder.locked());
 }
 
-TEST(PhaseEstimator, ParameterValidation)
-{
-    const auto config = small_config();
-    Sync_params bad;
-    bad.candidates = 4;
-    EXPECT_THROW(Phase_estimator(make_decoder_params(config, 480, 270), bad),
-                 inframe::util::Contract_violation);
-    bad = {};
-    bad.min_captures = 2;
-    EXPECT_THROW(Phase_estimator(make_decoder_params(config, 480, 270), bad),
-                 inframe::util::Contract_violation);
-    bad = {};
-    bad.min_lock_score = -1.0;
-    EXPECT_THROW(Phase_estimator(make_decoder_params(config, 480, 270), bad),
-                 inframe::util::Contract_violation);
-}
-
 TEST(PhaseEstimator, NoLockOnIdleVideo)
 {
     // Plain video without data: no metric structure, no (confident) lock.

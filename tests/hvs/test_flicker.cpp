@@ -37,7 +37,7 @@ std::vector<Imagef> modulated_frames(float level, float amplitude, int period_fr
 TEST(FlickerAssessor, SteadyVideoScoresZero)
 {
     const auto frames = steady_frames(127.0f, 240);
-    const auto r = assess_flicker(frames, fps, Vision_model_params{}, Observer{});
+    const auto r = assess_flicker(frames, fps, Observer{});
     EXPECT_EQ(r.frames_assessed, 240u);
     EXPECT_NEAR(r.score, 0.0, 1e-6);
     EXPECT_NEAR(r.peak_perceived_amplitude, 0.0, 1e-6);
@@ -49,7 +49,7 @@ TEST(FlickerAssessor, SixtyHzAlternationIsInvisible)
     // Full-screen +-20 alternation every frame (60 Hz on a 120 Hz display):
     // the InFrame steady state, which must fuse away.
     const auto frames = modulated_frames(127.0f, 20.0f, 2, 240);
-    const auto r = assess_flicker(frames, fps, Vision_model_params{}, Observer{});
+    const auto r = assess_flicker(frames, fps, Observer{});
     EXPECT_LT(r.score, 1.0);
 }
 
@@ -57,7 +57,7 @@ TEST(FlickerAssessor, ThirtyHzAlternationIsClearlyVisible)
 {
     // The same amplitude at 30 Hz (naive-design cadence) must flicker.
     const auto frames = modulated_frames(127.0f, 20.0f, 4, 240);
-    const auto r = assess_flicker(frames, fps, Vision_model_params{}, Observer{});
+    const auto r = assess_flicker(frames, fps, Observer{});
     EXPECT_GT(r.score, 2.0);
 }
 
@@ -65,8 +65,8 @@ TEST(FlickerAssessor, ScoreGrowsWithAmplitude)
 {
     const auto small = modulated_frames(127.0f, 5.0f, 4, 240);
     const auto large = modulated_frames(127.0f, 40.0f, 4, 240);
-    const auto r_small = assess_flicker(small, fps, Vision_model_params{}, Observer{});
-    const auto r_large = assess_flicker(large, fps, Vision_model_params{}, Observer{});
+    const auto r_small = assess_flicker(small, fps, Observer{});
+    const auto r_large = assess_flicker(large, fps, Observer{});
     EXPECT_GT(r_large.visibility_ratio, r_small.visibility_ratio);
 }
 
@@ -81,7 +81,7 @@ TEST(FlickerAssessor, LocalizedFlickerIsStillCaught)
         inframe::img::fill_rect(frame, 10, 10, 20, 12, 127.0f + sign * 25.0f);
         frames.push_back(std::move(frame));
     }
-    const auto r = assess_flicker(frames, fps, Vision_model_params{}, Observer{});
+    const auto r = assess_flicker(frames, fps, Observer{});
     EXPECT_GT(r.score, 1.5);
 }
 
@@ -105,9 +105,9 @@ TEST(FlickerAssessor, FineCheckerboardFusesSpatially)
     Flicker_options options;
     options.pooling_sigma_540 = 10.0;
     const auto r_checker =
-        assess_flicker(checker_frames, fps, Vision_model_params{}, Observer{}, options);
+        assess_flicker(checker_frames, fps, Observer{}, options);
     const auto r_solid =
-        assess_flicker(solid_frames, fps, Vision_model_params{}, Observer{}, options);
+        assess_flicker(solid_frames, fps, Observer{}, options);
     EXPECT_LT(r_checker.visibility_ratio, 0.3 * r_solid.visibility_ratio);
 }
 
@@ -126,9 +126,9 @@ TEST(FlickerAssessor, GazeDriftRevealsPhantomArray)
     // alternation down to 15 Hz, squarely in the visible band.
     moving.gaze_velocity_x = 3.0;
     const auto r_steady =
-        assess_flicker(frames, fps, Vision_model_params{}, Observer{}, steady);
+        assess_flicker(frames, fps, Observer{}, steady);
     const auto r_moving =
-        assess_flicker(frames, fps, Vision_model_params{}, Observer{}, moving);
+        assess_flicker(frames, fps, Observer{}, moving);
     EXPECT_GT(r_moving.visibility_ratio, 2.0 * r_steady.visibility_ratio);
 }
 
@@ -139,14 +139,14 @@ TEST(FlickerAssessor, SensitiveObserverScoresHigher)
     expert.amp_threshold = 0.6;
     Observer casual;
     casual.amp_threshold = 2.0;
-    const auto r_expert = assess_flicker(frames, fps, Vision_model_params{}, expert);
-    const auto r_casual = assess_flicker(frames, fps, Vision_model_params{}, casual);
+    const auto r_expert = assess_flicker(frames, fps, expert);
+    const auto r_casual = assess_flicker(frames, fps, casual);
     EXPECT_GT(r_expert.score, r_casual.score);
 }
 
 TEST(FlickerAssessor, FrameSizeMismatchThrows)
 {
-    Flicker_assessor assessor(width, height, fps, Vision_model_params{}, Observer{});
+    Flicker_assessor assessor(width, height, fps, Observer{});
     EXPECT_THROW(assessor.push_frame(Imagef(width + 1, height)), Contract_violation);
 }
 
@@ -154,22 +154,19 @@ TEST(FlickerAssessor, OptionValidation)
 {
     Flicker_options bad;
     bad.max_sites = 0;
-    EXPECT_THROW(Flicker_assessor(width, height, fps, Vision_model_params{}, Observer{}, bad),
-                 Contract_violation);
-    EXPECT_THROW(Flicker_assessor(0, height, fps, Vision_model_params{}, Observer{}),
-                 Contract_violation);
-    EXPECT_THROW(Flicker_assessor(width, height, 0.0, Vision_model_params{}, Observer{}),
-                 Contract_violation);
+    EXPECT_THROW(Flicker_assessor(width, height, fps, Observer{}, bad), Contract_violation);
+    EXPECT_THROW(Flicker_assessor(0, height, fps, Observer{}), Contract_violation);
+    EXPECT_THROW(Flicker_assessor(width, height, 0.0, Observer{}), Contract_violation);
 }
 
 TEST(FlickerAssessor, EmptySequenceThrows)
 {
-    EXPECT_THROW(assess_flicker({}, fps, Vision_model_params{}, Observer{}), Contract_violation);
+    EXPECT_THROW(assess_flicker({}, fps, Observer{}), Contract_violation);
 }
 
 TEST(FlickerAssessor, ResultBeforeFramesIsZero)
 {
-    Flicker_assessor assessor(width, height, fps, Vision_model_params{}, Observer{});
+    Flicker_assessor assessor(width, height, fps, Observer{});
     const auto r = assessor.result();
     EXPECT_EQ(r.frames_assessed, 0u);
     EXPECT_EQ(r.score, 0.0);
@@ -185,8 +182,8 @@ TEST(FlickerAssessor, ComparativeModeIgnoresContentMotion)
         const float level = (i / 40) % 2 == 0 ? 90.0f : 170.0f; // cut every 1/3 s
         frames.emplace_back(width, height, 1, level);
     }
-    Flicker_assessor absolute(width, height, fps, Vision_model_params{}, Observer{});
-    Flicker_assessor comparative(width, height, fps, Vision_model_params{}, Observer{});
+    Flicker_assessor absolute(width, height, fps, Observer{});
+    Flicker_assessor comparative(width, height, fps, Observer{});
     for (const auto& frame : frames) {
         absolute.push_frame(frame);
         comparative.push_frame_pair(frame, frame);
@@ -199,7 +196,7 @@ TEST(FlickerAssessor, ComparativeModeStillCatchesArtifactsOnMovingContent)
 {
     // Same cutting video, but the shown version carries a 30 Hz full-field
     // artifact: the comparative assessor must flag it.
-    Flicker_assessor comparative(width, height, fps, Vision_model_params{}, Observer{});
+    Flicker_assessor comparative(width, height, fps, Observer{});
     for (int i = 0; i < 240; ++i) {
         const float level = (i / 40) % 2 == 0 ? 90.0f : 170.0f;
         const Imagef reference(width, height, 1, level);
@@ -212,7 +209,7 @@ TEST(FlickerAssessor, ComparativeModeStillCatchesArtifactsOnMovingContent)
 
 TEST(FlickerAssessor, ReferenceSizeMismatchThrows)
 {
-    Flicker_assessor assessor(width, height, fps, Vision_model_params{}, Observer{});
+    Flicker_assessor assessor(width, height, fps, Observer{});
     EXPECT_THROW(assessor.push_frame_pair(Imagef(width, height), Imagef(width + 2, height)),
                  Contract_violation);
 }
@@ -222,7 +219,7 @@ TEST(FlickerPanel, ReportsMeanAndSpread)
     const auto frames = modulated_frames(127.0f, 12.0f, 4, 200);
     const auto panel = make_observer_panel(8, 42);
     const auto result =
-        assess_flicker_panel(frames, fps, Vision_model_params{}, panel);
+        assess_flicker_panel(frames, fps, panel);
     ASSERT_EQ(result.scores.size(), 8u);
     EXPECT_GT(result.mean_score, 0.5);
     EXPECT_GE(result.stddev_score, 0.0);
@@ -235,8 +232,7 @@ TEST(FlickerPanel, ReportsMeanAndSpread)
 TEST(FlickerPanel, EmptyPanelThrows)
 {
     const auto frames = steady_frames(127.0f, 10);
-    EXPECT_THROW(assess_flicker_panel(frames, fps, Vision_model_params{}, {}),
-                 Contract_violation);
+    EXPECT_THROW(assess_flicker_panel(frames, fps, {}), Contract_violation);
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace {
 
 using namespace inframe::video;
@@ -70,6 +72,20 @@ TEST(PlaybackSchedule, DisplayTime)
     EXPECT_DOUBLE_EQ(schedule.display_time(0), 0.0);
     EXPECT_DOUBLE_EQ(schedule.display_time(120), 1.0);
     EXPECT_THROW(schedule.display_time(-1), Contract_violation);
+}
+
+TEST(PlaybackSchedule, RejectsNonFiniteOrNonPositiveRates)
+{
+    const double bad_rates[] = {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()};
+    for (const double bad : bad_rates) {
+        for (const auto& schedule : {Playback_schedule{.display_fps = bad, .video_fps = 30.0},
+                                     Playback_schedule{.display_fps = 120.0, .video_fps = bad}}) {
+            EXPECT_THROW(schedule.repeats_per_video_frame(), Contract_violation) << bad;
+            EXPECT_THROW(schedule.video_frame_for_display(4), Contract_violation) << bad;
+            EXPECT_THROW(schedule.display_time(4), Contract_violation) << bad;
+        }
+    }
 }
 
 TEST(StandardVideos, PaperLevels)

@@ -307,33 +307,51 @@ TEST(TickerVideo, Validation)
 TEST(VideoSources, RejectNonFiniteParameters)
 {
     // Each entry builds one source with `bad` in a single level or rate.
-    const auto solid = std::make_shared<Solid_video>(8, 8, 1.0f);
-    const std::vector<std::pair<const char*, std::function<void(float)>>> builders = {
-        {"Solid_video level", [](float bad) { Solid_video(8, 8, bad); }},
-        {"Solid_video fps", [](float bad) { Solid_video(8, 8, 1.0f, bad); }},
-        {"Sunrise_video fps", [](float bad) { Sunrise_video(8, 8, bad); }},
-        {"Moving_bars_video lo", [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, 30.0, bad); }},
-        {"Moving_bars_video hi",
-         [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, 30.0, 64.0f, bad); }},
-        {"Moving_bars_video fps", [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, bad); }},
-        {"Noise_video mean", [](float bad) { Noise_video(8, 8, bad, 1.0f); }},
-        {"Noise_video stddev", [](float bad) { Noise_video(8, 8, 128.0f, bad); }},
-        {"Noise_video fps", [](float bad) { Noise_video(8, 8, 128.0f, 1.0f, bad); }},
-        {"Slideshow_video fps", [](float bad) { Slideshow_video(8, 8, 1, bad); }},
-        {"Ticker_video background",
-         [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, 30.0, bad); }},
-        {"Ticker_video ink",
-         [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, 30.0, 110.0f, bad); }},
-        {"Ticker_video fps", [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, bad); }},
-        {"Tinted_video dark", [&](float bad) { Tinted_video(solid, {bad, 0.0f, 0.0f}, {}); }},
-        {"Tinted_video light", [&](float bad) { Tinted_video(solid, {}, {0.0f, 0.0f, bad}); }},
+    // Levels must also lie in [0, 255]: Solid_video::name casts its level
+    // to int, which is undefined outside int range.
+    struct Builder {
+        const char* what;
+        bool level;
+        std::function<void(float)> build;
     };
-    for (const auto& [what, build] : builders) {
-        for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+    const auto solid = std::make_shared<Solid_video>(8, 8, 1.0f);
+    const std::vector<Builder> builders = {
+        {"Solid_video level", true, [](float bad) { Solid_video(8, 8, bad); }},
+        {"Solid_video fps", false, [](float bad) { Solid_video(8, 8, 1.0f, bad); }},
+        {"Sunrise_video fps", false, [](float bad) { Sunrise_video(8, 8, bad); }},
+        {"Moving_bars_video lo", true,
+         [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, 30.0, bad); }},
+        {"Moving_bars_video hi", true,
+         [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, 30.0, 64.0f, bad); }},
+        {"Moving_bars_video fps", false, [](float bad) { Moving_bars_video(8, 8, 2, 1.0f, bad); }},
+        {"Noise_video mean", true, [](float bad) { Noise_video(8, 8, bad, 1.0f); }},
+        {"Noise_video stddev", false, [](float bad) { Noise_video(8, 8, 128.0f, bad); }},
+        {"Noise_video fps", false, [](float bad) { Noise_video(8, 8, 128.0f, 1.0f, bad); }},
+        {"Slideshow_video fps", false, [](float bad) { Slideshow_video(8, 8, 1, bad); }},
+        {"Ticker_video background", true,
+         [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, 30.0, bad); }},
+        {"Ticker_video ink", true,
+         [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, 30.0, 110.0f, bad); }},
+        {"Ticker_video fps", false, [](float bad) { Ticker_video(96, 54, "NEWS", 1.0f, bad); }},
+        {"Tinted_video dark", true,
+         [&](float bad) { Tinted_video(solid, {bad, 0.0f, 0.0f}, {}); }},
+        {"Tinted_video light", true,
+         [&](float bad) { Tinted_video(solid, {}, {0.0f, 0.0f, bad}); }},
+    };
+    const float non_finite[] = {std::numeric_limits<float>::quiet_NaN(),
                                 std::numeric_limits<float>::infinity(),
-                                -std::numeric_limits<float>::infinity()}) {
+                                -std::numeric_limits<float>::infinity()};
+    const float out_of_range[] = {3e9f, -1.0f, 255.5f};
+    for (const auto& [what, level, build] : builders) {
+        for (const float bad : non_finite) {
             EXPECT_THROW(build(bad), Contract_violation) << what << " = " << bad;
         }
+        if (!level) continue;
+        for (const float bad : out_of_range) {
+            EXPECT_THROW(build(bad), Contract_violation) << what << " = " << bad;
+        }
+        EXPECT_NO_THROW(build(0.0f)) << what;
+        EXPECT_NO_THROW(build(255.0f)) << what;
     }
 }
 
