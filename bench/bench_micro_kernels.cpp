@@ -50,10 +50,7 @@ core::Frame_token make_token(std::int64_t index, int width, int height, float va
 
 void recycle_all(std::vector<core::Frame_token>& tokens)
 {
-    for (auto& t : tokens) {
-        img::Frame_pool::instance().recycle(std::move(t.image));
-        img::Frame_pool::instance().recycle(std::move(t.reference));
-    }
+    for (auto& t : tokens) img::Frame_pool::instance().recycle(std::move(t.image));
     tokens.clear();
 }
 

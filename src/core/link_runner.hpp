@@ -6,7 +6,8 @@
 // (available-GOB ratio, GOB error rate, goodput).
 //
 // run_flicker_experiment drives encoder output into the simulated observer
-// panel — the stand-in for the paper's Fig. 6 user study.
+// panel — the stand-in for the paper's Fig. 6 user study — on a serial
+// Video -> assess graph.
 #pragma once
 
 #include "channel/link.hpp"
@@ -115,9 +116,6 @@ struct Flicker_experiment_config {
     std::uint64_t observer_seed = 42;
     double duration_s = 2.0;
     std::uint64_t data_seed = util::Prng::default_seed;
-
-    // Same contract as Link_experiment_config::frames_in_flight.
-    int frames_in_flight = 1;
 
     // Same contract as Link_experiment_config::telemetry.
     telemetry::Config telemetry;

@@ -27,7 +27,6 @@ double seconds_since(Clock::time_point start)
 void recycle_token(Frame_token&& token)
 {
     img::Frame_pool::instance().recycle(std::move(token.image));
-    img::Frame_pool::instance().recycle(std::move(token.reference));
 }
 
 // One timed stage call: push(*token), or flush() when token is empty. The

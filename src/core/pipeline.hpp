@@ -29,16 +29,14 @@
 
 namespace inframe::core {
 
-// The unit of work flowing along pipeline edges. `image` is the payload
-// frame (pool-backed; stages recycle or forward it — see Stage). The
-// optional `reference` slot carries a second frame when a downstream
-// stage needs both (e.g. the flicker assessor compares the encoded
-// display frame against the raw video frame).
+// The unit of work flowing along pipeline edges: one frame, `image`
+// (pool-backed; stages recycle or forward it — see Stage). A stage that
+// needs a second frame keeps it itself (the flicker experiment makes the
+// shown frame next to the video frame inside one stage).
 struct Frame_token {
     std::int64_t index = 0;  // sequence position within this edge's stream
     double time_s = 0.0;     // simulation timestamp (display/capture start)
     img::Imagef image;
-    img::Imagef reference;
 };
 
 // A pipeline stage. Contract:
@@ -46,8 +44,8 @@ struct Frame_token {
 //    more output tokens, also in ascending index order. A stage may
 //    buffer (0 outputs now, several later) or fan out (several outputs
 //    per input) as long as the cumulative output sequence is ordered.
-//  - The stage takes ownership of the input token's images: it must
-//    either move them into an output token or recycle them into
+//  - The stage takes ownership of the input token's image: it must
+//    either move it into an output token or recycle it into
 //    img::Frame_pool. Images on returned tokens become the runtime's
 //    (and then the next stage's) responsibility.
 //  - flush() is called exactly once, after the final push(), and may

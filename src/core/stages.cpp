@@ -87,12 +87,7 @@ img::Imagef Encode_stage::encode(const img::Imagef& video_frame)
 std::vector<Frame_token> Encode_stage::push(Frame_token token)
 {
     img::Imagef display = encode(token.image);
-    if (options_.emit_reference) {
-        recycle(std::move(token.reference));
-        token.reference = std::move(token.image);
-    } else {
-        recycle(std::move(token.image));
-    }
+    recycle(std::move(token.image));
     token.image = std::move(display);
     std::vector<Frame_token> out;
     out.push_back(std::move(token));
@@ -112,7 +107,6 @@ std::vector<Frame_token> Link_stage::push(Frame_token token)
 {
     std::vector<channel::Capture> captures = link_.push_display_frame(token.image);
     recycle(std::move(token.image));
-    recycle(std::move(token.reference));
     std::vector<Frame_token> out;
     out.reserve(captures.size());
     for (channel::Capture& capture : captures) {
@@ -135,7 +129,6 @@ std::vector<Frame_token> Decode_stage::push(Frame_token token)
         results_.push_back(std::move(result));
     }
     recycle(std::move(token.image));
-    recycle(std::move(token.reference));
     return {};
 }
 
@@ -182,7 +175,6 @@ std::vector<Frame_token> Receive_stage::push(Frame_token token)
     receiver_.push_capture(token.image, token.time_s);
     if (completed_at_ < 0.0 && receiver_.message_complete()) completed_at_ = token.time_s;
     recycle(std::move(token.image));
-    recycle(std::move(token.reference));
     return {};
 }
 

@@ -62,10 +62,6 @@ class Encode_stage final : public Stage {
 public:
     struct Options {
         Payload_source payloads;     // empty -> the encoder idles
-        // Keep the raw video frame on the token's `reference` slot (the
-        // flicker assessor compares display against video); otherwise
-        // the video frame is recycled here.
-        bool emit_reference = false;
     };
 
     Encode_stage(Inframe_config config, Options options);
@@ -73,9 +69,10 @@ public:
     const char* name() const override { return "encode"; }
     std::vector<Frame_token> push(Frame_token token) override;
 
-    // Top-up + next_display_frame, for drivers that must pre-roll the
-    // encoder outside a running pipeline (the sync-acquisition bench
-    // discards the first N display frames before the link starts).
+    // Top-up + next_display_frame, for drivers that run the encoder
+    // outside a pipeline stage: the sync-acquisition bench pre-rolls it
+    // before the link starts, and the flicker experiment encodes inside
+    // its assess stage, where the video frame is still at hand.
     img::Imagef encode(const img::Imagef& video_frame);
 
     Inframe_encoder& encoder() { return encoder_; }

@@ -328,7 +328,7 @@ TEST(TelemetryContract, TracedRunExportsValidArtifacts)
     // trace.json: parses, and every span name is an instrumented one.
     const std::set<std::string> allowed = {
         // pipeline stages (link + flicker drivers)
-        "video", "encode", "link", "decode", "send", "receive", "produce", "assess",
+        "video", "encode", "link", "decode", "send", "receive", "assess",
         // instrumented operations
         "encode.embed", "decode.capture", "decode.finalize", "link.capture",
         "pool.batch", "sync.estimate",
