@@ -17,9 +17,9 @@
 #                 parity-tested (a kernel whose vector path works but
 #                 whose scalar path rotted would otherwise only fail on
 #                 non-SIMD hosts).
-#   tsan          -DINFRAME_SANITIZE=thread,    unit+pipeline+simd+fault+property labels
-#   asan          -DINFRAME_SANITIZE=address,   unit+pipeline+simd+fault+property labels
-#   ubsan         -DINFRAME_SANITIZE=undefined, unit+pipeline+simd+fault+property labels
+#   tsan          -DINFRAME_SANITIZE=thread,    unit+pipeline+simd+fault+property+telemetry labels
+#   asan          -DINFRAME_SANITIZE=address,   unit+pipeline+simd+fault+property+telemetry labels
+#   ubsan         -DINFRAME_SANITIZE=undefined, unit+pipeline+simd+fault+property+telemetry labels
 #   perfbench     python3 perfbench/selftest.py: builds src/ as a public-API
 #                 client the way the benchmark does (perfbench/run.py, into
 #                 .bench_build/) and checks every workload's result schema
@@ -55,7 +55,7 @@ run_leg() {
             -j "${jobs}" -L 'unit|pipeline|simd|property|fault|telemetry'
     else
         ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-            -L 'unit|pipeline|simd|fault|property'
+            -L 'unit|pipeline|simd|fault|property|telemetry'
         echo "--- ${name}: simd suite again with INFRAME_SIMD=scalar ---"
         INFRAME_SIMD=scalar ctest --test-dir "${build}" --output-on-failure \
             -j "${jobs}" -L simd

@@ -76,11 +76,10 @@ Barcode_run_result run_barcode_experiment(const Barcode_config& config,
                                           double duration_s, std::uint64_t data_seed)
 {
     config.validate();
-    util::expects(duration_s > 0.0, "barcode experiment: duration must be positive");
+    const std::int64_t total_refreshes =
+        channel::display_frame_count(duration_s, config.display_fps);
 
     util::Prng prng(data_seed);
-    const auto total_refreshes =
-        static_cast<std::int64_t>(std::llround(duration_s * config.display_fps));
     const auto frame_count = total_refreshes / config.hold_refreshes + 1;
     std::vector<std::vector<std::uint8_t>> truth;
     truth.reserve(static_cast<std::size_t>(frame_count));

@@ -247,13 +247,14 @@ img::Imagef Camera_optics::to_sensor(const img::Imagef& emitted) const
     return sensor;
 }
 
-Camera_params auto_expose(Camera_params params, double scene_mean_level,
-                          double reference_level, double reference_exposure_s,
-                          double max_exposure_s)
+Camera_params auto_expose(Camera_params params, double scene_mean_level)
 {
+    // The metering curve: reference exposure at the reference scene level,
+    // stretched up to the longest exposure a phone allows before gain.
+    constexpr double reference_level = 180.0;
+    constexpr double reference_exposure_s = 1.0 / 480.0;
+    constexpr double max_exposure_s = 1.0 / 180.0;
     util::expects(scene_mean_level >= 0.0, "auto_expose: scene level must be non-negative");
-    util::expects(reference_level > 0.0 && reference_exposure_s > 0.0 && max_exposure_s > 0.0,
-                  "auto_expose: reference parameters must be positive");
     const double level = std::max(scene_mean_level, 1.0);
     const double target = reference_exposure_s * reference_level / level;
     const double frame_limit = 1.0 / params.fps - params.readout_s;

@@ -154,16 +154,13 @@ std::uint64_t row_noise_seed(std::uint64_t seed, std::int64_t capture_index, int
 // Auto-exposure metering: returns a copy of `params` with exposure_s and
 // gain set the way a phone camera meters a scene of the given mean level.
 //
-// The camera aims for the reference exposure at a bright scene (level
-// ~180, the paper's light-gray video at 100% display brightness); darker
-// scenes stretch the exposure up to max_exposure_s, and any remaining
+// The camera aims for the reference exposure (1/480 s) at a bright scene
+// (level 180, the paper's light-gray video at 100% display brightness);
+// darker scenes stretch the exposure up to 1/180 s, and any remaining
 // shortfall becomes digital gain (amplifying noise). This is the
 // mechanism that degrades the dark-gray and natural-video runs in Fig. 7:
 // exposure beyond one display frame integrates part of the complementary
 // -D frame, cancelling a fraction of the embedded pattern.
-Camera_params auto_expose(Camera_params params, double scene_mean_level,
-                          double reference_level = 180.0,
-                          double reference_exposure_s = 1.0 / 480.0,
-                          double max_exposure_s = 1.0 / 180.0);
+Camera_params auto_expose(Camera_params params, double scene_mean_level);
 
 } // namespace inframe::channel

@@ -537,7 +537,8 @@ TEST(AutoExpose, BrighterThanReferenceDoesNotReduceGain)
 TEST(AutoExpose, Validation)
 {
     EXPECT_THROW(auto_expose(Camera_params{}, -1.0), Contract_violation);
-    EXPECT_THROW(auto_expose(Camera_params{}, 100.0, 0.0), Contract_violation);
+    EXPECT_THROW(auto_expose(Camera_params{}, std::numeric_limits<double>::quiet_NaN()),
+                 Contract_violation);
 }
 
 TEST(SensorNoise, GainScalesAndClamps)
