@@ -2,10 +2,15 @@
 
 #include "imgproc/draw.hpp"
 #include "imgproc/image_ops.hpp"
+#include "simd/simd.hpp"
 #include "util/contract.hpp"
+#include "util/crc32.hpp"
 #include "util/prng.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <span>
 
 namespace {
 
@@ -79,6 +84,46 @@ TEST(BoxBlur, AnisotropicRadii)
         EXPECT_NEAR(out(x, 0), 0.0f, 1e-4f);
         EXPECT_NEAR(out(x, 1), 80.0f, 1e-4f);
     }
+}
+
+std::uint32_t image_crc(const Imagef& image)
+{
+    const auto bytes = std::as_bytes(image.values());
+    return inframe::util::crc32(std::span(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                                          bytes.size()));
+}
+
+// Pins box_blur's output bit for bit: the horizontal pass's double window
+// and float subtract, and the vertical pass's per-row double sums stored as
+// float(sum) * norm. The CRC32s cover the raw float bytes and hold at every
+// SIMD level.
+TEST(BoxBlur, OutputMatchesFrozenCrcs)
+{
+    struct Frozen {
+        int width, height, channels, radius_x, radius_y;
+        std::uint32_t crc;
+    };
+    constexpr Frozen frozen[] = {
+        {1280, 720, 1, 1, 1, 0x8fb407d7u},
+        {1280, 720, 1, 3, 3, 0xd168d722u},
+        {97, 55, 3, 3, 3, 0x57a83413u},
+        {97, 55, 3, 1, 4, 0xa83ec287u},
+    };
+    const inframe::simd::Level before = inframe::simd::active_level();
+    for (const Frozen& f : frozen) {
+        Prng prng(7);
+        Imagef src(f.width, f.height, f.channels);
+        for (auto& v : src.values()) v = static_cast<float>(prng.next_double(0, 255));
+        for (const inframe::simd::Level level : inframe::simd::available_levels()) {
+            inframe::simd::set_active_level(level);
+            const std::uint32_t crc = image_crc(box_blur(src, f.radius_x, f.radius_y));
+            EXPECT_EQ(crc, f.crc) << f.width << "x" << f.height << "x" << f.channels
+                                  << " radii " << f.radius_x << "," << f.radius_y << " at "
+                                  << inframe::simd::to_string(level) << ": got 0x" << std::hex
+                                  << crc;
+        }
+    }
+    inframe::simd::set_active_level(before);
 }
 
 TEST(BoxBlur, NegativeRadiusThrows)

@@ -1,8 +1,14 @@
 #include "imgproc/image_ops.hpp"
 
+#include "simd/simd.hpp"
 #include "util/contract.hpp"
+#include "util/prng.hpp"
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
 
 namespace {
 
@@ -82,6 +88,50 @@ TEST(ImageOps, MeanRegion)
     // Region covering values 5, 6, 9, 10.
     EXPECT_DOUBLE_EQ(mean_region(a, 1, 1, 2, 2), 7.5);
     EXPECT_THROW(mean_region(a, 3, 3, 2, 2), Contract_violation);
+}
+
+// Pins the summation order of a 1-channel mean_region: lane i % 8 of a
+// double accumulator takes element i of the row, and the lanes merge as
+// ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)). The rows mix magnitudes from 2^-40 to
+// 2^61, so that order gives a different sum than a sequential one (checked
+// per case), and the frozen bits hold at every SIMD level.
+TEST(ImageOps, MeanRegionMatchesFrozenEightLaneBits)
+{
+    Imagef image(61, 6);
+    inframe::util::Prng prng(11);
+    for (auto& v : image.values()) {
+        const double sign = prng.next_double() < 0.5 ? -1.0 : 1.0;
+        const int exponent = static_cast<int>(prng.next_int(-40, 60));
+        v = static_cast<float>(sign * std::ldexp(1.0 + prng.next_double(), exponent));
+    }
+    struct Frozen {
+        int x0, y0, w, h;
+        std::uint64_t bits;
+    };
+    constexpr Frozen frozen[] = {
+        {3, 0, 53, 1, 0x434aeaa2649cc3e9u}, {3, 1, 53, 1, 0xc33ba7c27e43f1efu},
+        {0, 3, 61, 1, 0xc36786185f18b2c0u}, {7, 3, 9, 1, 0xc314f16818e38e3bu},
+        {2, 1, 11, 1, 0xc31340c05a32b785u}, {1, 2, 16, 1, 0xc337dc5b40fb283fu},
+        {5, 1, 40, 4, 0xc32cc2567a0a3040u},
+    };
+    const inframe::simd::Level before = inframe::simd::active_level();
+    for (const Frozen& f : frozen) {
+        double sequential = 0.0;
+        for (int y = f.y0; y < f.y0 + f.h; ++y) {
+            for (int x = f.x0; x < f.x0 + f.w; ++x) sequential += image(x, y);
+        }
+        sequential /= static_cast<double>(f.w) * static_cast<double>(f.h);
+        for (const inframe::simd::Level level : inframe::simd::available_levels()) {
+            inframe::simd::set_active_level(level);
+            const double got = mean_region(image, f.x0, f.y0, f.w, f.h);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got), f.bits)
+                << "region " << f.x0 << "," << f.y0 << " " << f.w << "x" << f.h << " at "
+                << inframe::simd::to_string(level) << ": got 0x" << std::hex
+                << std::bit_cast<std::uint64_t>(got);
+            EXPECT_NE(got, sequential) << "case does not tell the 8-lane order apart";
+        }
+    }
+    inframe::simd::set_active_level(before);
 }
 
 TEST(ImageOps, MeanAbsRegion)
