@@ -296,17 +296,8 @@ void run_simd_speedup_table(const bench::Args& args)
     using simd::Kernels;
     using simd::Level;
 
-    constexpr int n = 1 << 14; // 16k elements: 64 KiB of floats, L2-resident
+    constexpr int n = 1 << 14; // 16k Gaussians: 128 KiB of doubles, L2-resident
     util::Prng prng(17);
-    std::vector<float> fa(n);
-    std::vector<float> fb(n);
-    std::vector<float> fout(n);
-    std::vector<double> dacc(n);
-    for (int i = 0; i < n; ++i) {
-        fa[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
-        fb[static_cast<std::size_t>(i)] = static_cast<float>(prng.next_double(0, 255));
-        dacc[static_cast<std::size_t>(i)] = prng.next_double(0, 1.0e6);
-    }
 
     // box_blur_h: 8 interleaved-style streams over a 1-channel row.
     constexpr int blur_width = 1920;
@@ -336,12 +327,6 @@ void run_simd_speedup_table(const bench::Args& args)
         std::function<void(const Kernels&)> call;
     };
     const std::vector<Kernel_case> cases = {
-        {"absdiff_f32",
-         [&](const Kernels& k) { k.absdiff_f32(fa.data(), fb.data(), fout.data(), n); }},
-        {"row_sum_f64",
-         [&](const Kernels& k) { benchmark::DoNotOptimize(k.row_sum_f64(fa.data(), n)); }},
-        {"vblur_update",
-         [&](const Kernels& k) { k.vblur_update(dacc.data(), fa.data(), fb.data(), n); }},
         {"box_blur_h", [&](const Kernels& k) {
              k.box_blur_h(blur_in.data(), blur_out.data(), blur_lanes, blur_width, 1, 3);
          }},

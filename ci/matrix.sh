@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build-and-test matrix: the release build at both SIMD dispatch levels a
-# host runs (its one vector level, AVX2 on x86-64 or NEON on aarch64, and
-# the scalar reference), plus the sanitizer configurations from README.md.
+# host runs (AVX2 on x86-64, where the CPU has it, and the scalar
+# reference), plus the sanitizer configurations from README.md.
 # Each leg is an independent build tree under build-matrix/ so legs can be
 # re-run individually:
 #

@@ -61,7 +61,7 @@ Pipeline_metrics Pipeline::run(std::int64_t head_tokens, Pipeline_options option
 
     // Record which SIMD level the kernels below will run at; telemetry
     // reports print gauges, so the dispatch decision shows up next to the
-    // stage timings it explains (Level enum value: 0=scalar 1=avx2 2=neon).
+    // stage timings it explains (Level enum value: 0=scalar 1=avx2).
     static const int simd_gauge =
         telemetry::intern_metric("simd.dispatch_level", telemetry::Metric_kind::gauge);
     telemetry::gauge_set(simd_gauge, static_cast<double>(simd::active_level()));

@@ -4,6 +4,7 @@
 #include "simd/simd.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -49,26 +50,28 @@ void box_blur_horizontal_band(const Imagef& src, Imagef& dst, int radius, int y_
 // jumping width*channels floats per step as a column-by-column pass would.
 // The sliding window is a row of double sums, re-initialized at the band
 // start; band boundaries depend only on the grain, so every thread count
-// (including the serial path) produces identical output. The row-wide
-// accumulate/update/store loops run through the simd dispatch table; the
-// vector versions are elementwise and replicate the float-subtract-then-
-// double-add order exactly, so results match the pre-SIMD code bit for bit.
+// (including the serial path) produces identical output. Every loop is
+// elementwise across the row (float subtract, then double add), so the
+// compiler vectorizes it without changing a bit.
 void box_blur_vertical_band(const Imagef& src, Imagef& dst, int radius, int y_begin, int y_end)
 {
-    const auto& k = simd::kernels();
     const int height = src.height();
-    const int row_values = static_cast<int>(src.row(0).size());
+    const auto row_values = src.row(0).size();
     const float norm = 1.0f / static_cast<float>(2 * radius + 1);
 
-    std::vector<double> window(static_cast<std::size_t>(row_values), 0.0);
+    std::vector<double> window(row_values, 0.0);
     for (int j = y_begin - radius; j <= y_begin + radius; ++j) {
-        k.vblur_accum(window.data(), src.row(std::clamp(j, 0, height - 1)).data(), row_values);
+        const float* row = src.row(std::clamp(j, 0, height - 1)).data();
+        for (std::size_t i = 0; i < row_values; ++i) window[i] += static_cast<double>(row[i]);
     }
     for (int y = y_begin; y < y_end; ++y) {
-        k.vblur_store(window.data(), dst.row(y).data(), row_values, norm);
+        float* out = dst.row(y).data();
         const float* leaving = src.row(std::clamp(y - radius, 0, height - 1)).data();
         const float* entering = src.row(std::clamp(y + radius + 1, 0, height - 1)).data();
-        k.vblur_update(window.data(), entering, leaving, row_values);
+        for (std::size_t i = 0; i < row_values; ++i) {
+            out[i] = static_cast<float>(window[i]) * norm;
+            window[i] += static_cast<double>(entering[i] - leaving[i]);
+        }
     }
 }
 

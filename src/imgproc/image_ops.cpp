@@ -1,7 +1,6 @@
 #include "imgproc/image_ops.hpp"
 
 #include "imgproc/pool.hpp"
-#include "simd/simd.hpp"
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
@@ -13,10 +12,7 @@ namespace {
 
 // Flat values per parallel chunk for elementwise ops. Each element is
 // computed independently, so any partition is bit-identical; the grain just
-// keeps chunk dispatch overhead negligible. Where the per-element work
-// inside a chunk goes through the simd dispatch table (bit-identical at
-// every level, see src/simd/simd.hpp), partitioning and vectorization
-// compose without affecting results.
+// keeps chunk dispatch overhead negligible.
 constexpr std::int64_t value_grain = 1 << 15;
 
 } // namespace
@@ -103,7 +99,10 @@ Imagef add(const Imagef& a, const Imagef& b)
 
 Imagef abs_diff(const Imagef& a, const Imagef& b)
 {
-    return binary_elementwise(a, b, "abs_diff: shape mismatch", simd::kernels().absdiff_f32);
+    return binary_elementwise(a, b, "abs_diff: shape mismatch",
+                              [](const float* lhs, const float* rhs, float* out, int n) {
+                                  for (int i = 0; i < n; ++i) out[i] = std::fabs(lhs[i] - rhs[i]);
+                              });
 }
 
 Imagef affine(const Imagef& a, float scale, float offset)
@@ -158,12 +157,20 @@ double mean_region(const Imagef& image, int x0, int y0, int w, int h, int c)
                   "mean_region: region out of bounds");
     double sum = 0.0;
     if (image.channels() == 1) {
-        // Contiguous rows: per-row reduction through the dispatch table.
-        // row_sum_f64 has a fixed 8-lane accumulation shape, so the result
-        // is identical at every SIMD level (and to the scalar reference).
-        const auto& k = simd::kernels();
+        // Contiguous rows, each summed with a fixed 8-lane shape: lane i % 8
+        // takes element i, and the lanes merge pairwise. The shape is the
+        // result's definition (tests pin its bits), and the compiler turns
+        // the inner 8-wide loop into vector adds.
         for (int y = y0; y < y0 + h; ++y) {
-            sum += k.row_sum_f64(image.row(y).data() + x0, w);
+            const float* p = image.row(y).data() + x0;
+            double lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+            int i = 0;
+            for (; i + 8 <= w; i += 8) {
+                for (int j = 0; j < 8; ++j) lane[j] += static_cast<double>(p[i + j]);
+            }
+            for (int j = 0; i < w; ++i, ++j) lane[j] += static_cast<double>(p[i]);
+            sum += ((lane[0] + lane[1]) + (lane[2] + lane[3]))
+                   + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
         }
     }
     else {

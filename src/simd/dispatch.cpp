@@ -18,7 +18,7 @@
 namespace inframe::simd {
 namespace {
 
-constexpr int level_count = 3;
+constexpr int level_count = 2;
 
 struct Dispatch_state {
     std::array<Kernels, level_count> tables{};
@@ -30,23 +30,11 @@ struct Dispatch_state {
 
 bool is_supported_here(Level level)
 {
-#if defined(__x86_64__)
-    switch (level) {
-    case Level::scalar: return true;
-    case Level::avx2:
-#if defined(__GNUC__) || defined(__clang__)
-        return __builtin_cpu_supports("avx2") != 0;
+    if (level == Level::scalar) return true;
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    return __builtin_cpu_supports("avx2") != 0;
 #else
-        return false;
-#endif
-    case Level::neon: return false;
-    }
     return false;
-#elif defined(__aarch64__)
-    // NEON (ASIMD) is mandatory in AArch64 — no HWCAP probe needed.
-    return level == Level::scalar || level == Level::neon;
-#else
-    return level == Level::scalar;
 #endif
 }
 
@@ -54,13 +42,12 @@ Dispatch_state build_state()
 {
     Dispatch_state s;
 
-    // Each vector table starts from the scalar one, so a level not built
-    // for this compile target (or a kernel it skips) keeps the reference.
+    // The AVX2 table starts from the scalar one, so on a compile target
+    // without AVX2 it is the reference (and is never selected).
     s.tables[int(Level::scalar)] = detail::scalar_table();
     s.tables[int(Level::avx2)] = detail::avx2_table(s.tables[int(Level::scalar)]);
-    s.tables[int(Level::neon)] = detail::neon_table(s.tables[int(Level::scalar)]);
 
-    for (Level level : {Level::scalar, Level::avx2, Level::neon}) {
+    for (Level level : {Level::scalar, Level::avx2}) {
         if (is_supported_here(level)) {
             s.available[s.available_count++] = level;
             s.best = level;
@@ -102,7 +89,6 @@ const char* to_string(Level level)
     switch (level) {
     case Level::scalar: return "scalar";
     case Level::avx2: return "avx2";
-    case Level::neon: return "neon";
     }
     return "unknown";
 }
@@ -138,8 +124,7 @@ Level level_from_name(const std::string& name)
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     if (lower == "scalar") return Level::scalar;
     if (lower == "avx2") return Level::avx2;
-    if (lower == "neon") return Level::neon;
-    util::expects(false, "INFRAME_SIMD must be scalar, avx2, or neon");
+    util::expects(false, "INFRAME_SIMD must be scalar or avx2");
     return Level::scalar; // unreachable
 }
 

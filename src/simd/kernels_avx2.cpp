@@ -2,17 +2,10 @@
 // one and re-implements every kernel_list.def row, 8 floats or 4 doubles
 // wide.
 //
-// Bit-identity with the scalar reference, kernel by kernel (the NEON level
-// rests on the same arguments):
-//  - absdiff vectorizes lane-for-lane (no reassociation); |x| is a
-//    sign-bit clear (andnot with -0.0f), exactly fabsf;
-//  - row_sum_f64 maps vector lanes onto the reference's fixed 8-lane
-//    accumulation shape (two 4-wide double accumulators) and merges them
-//    in the same order;
-//  - the blur kernels widen with cvtps_pd / narrow with cvtpd_ps, the
-//    same conversions the reference's casts perform;
+// Bit-identity with the scalar reference, kernel by kernel:
 //  - box_blur_h puts independent streams in lanes, replaying the scalar
-//    op sequence per lane;
+//    op sequence per lane (widening with cvtps_pd and narrowing with
+//    cvtpd_ps, the same conversions the reference's casts perform);
 //  - box_muller_f64 replays the reference's log/sin/cos op sequence four
 //    pairs wide: the same IEEE adds, multiplies, divide and sqrt in the
 //    same order, integer lane ops for the exponent split and quadrant, and
@@ -30,76 +23,12 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 
 namespace inframe::simd {
 // File-local: reached only through the table built below.
 namespace {
 namespace avx2 {
-
-void absdiff_f32(const float* a, const float* b, float* out, int n)
-{
-    const __m256 sign = _mm256_set1_ps(-0.0f);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i));
-        _mm256_storeu_ps(out + i, _mm256_andnot_ps(sign, d));
-    }
-    for (; i < n; ++i) out[i] = std::fabs(a[i] - b[i]);
-}
-
-double row_sum_f64(const float* p, int n)
-{
-    // Lanes 0..3 in acc0, lanes 4..7 in acc1 — the reference 8-lane shape.
-    __m256d acc0 = _mm256_setzero_pd();
-    __m256d acc1 = _mm256_setzero_pd();
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 x = _mm256_loadu_ps(p + i);
-        acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm256_castps256_ps128(x)));
-        acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1)));
-    }
-    alignas(32) double lane[8];
-    _mm256_storeu_pd(lane, acc0);
-    _mm256_storeu_pd(lane + 4, acc1);
-    for (; i < n; ++i) lane[i & 7] += static_cast<double>(p[i]);
-    return ((lane[0] + lane[1]) + (lane[2] + lane[3]))
-           + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
-void vblur_accum(double* acc, const float* row, int n)
-{
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128 x = _mm_loadu_ps(row + i);
-        _mm256_storeu_pd(acc + i,
-                         _mm256_add_pd(_mm256_loadu_pd(acc + i), _mm256_cvtps_pd(x)));
-    }
-    for (; i < n; ++i) acc[i] += static_cast<double>(row[i]);
-}
-
-void vblur_update(double* acc, const float* enter, const float* leave, int n)
-{
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128 d = _mm_sub_ps(_mm_loadu_ps(enter + i), _mm_loadu_ps(leave + i));
-        _mm256_storeu_pd(acc + i,
-                         _mm256_add_pd(_mm256_loadu_pd(acc + i), _mm256_cvtps_pd(d)));
-    }
-    for (; i < n; ++i) acc[i] += static_cast<double>(enter[i] - leave[i]);
-}
-
-void vblur_store(const double* acc, float* out, int n, float norm)
-{
-    const __m128 vnorm = _mm_set1_ps(norm);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m128 f = _mm256_cvtpd_ps(_mm256_loadu_pd(acc + i));
-        _mm_storeu_ps(out + i, _mm_mul_ps(f, vnorm));
-    }
-    for (; i < n; ++i) out[i] = static_cast<float>(acc[i]) * norm;
-}
 
 void box_blur_h(const float* const* src, float* const* dst, int lanes, int width, int stride,
                 int radius)

@@ -1,7 +1,6 @@
-// Internal glue between dispatch.cpp and the per-level kernel files.
-// Each vector level builds its table on top of the scalar one (scalar ->
-// avx2 on x86-64; scalar -> neon on aarch64), so a kernel a level does not
-// re-implement falls back to the reference.
+// Internal glue between dispatch.cpp and the per-level kernel files. The
+// AVX2 table is built on top of the scalar one, and every other host runs
+// the scalar reference.
 #pragma once
 
 #include "simd/simd.hpp"
@@ -64,9 +63,8 @@ namespace inframe::simd::detail {
 
 Kernels scalar_table();
 
-// Compiled on every platform; on a platform without the ISA they return
+// Compiled on every platform; without AVX2 at compile time it returns
 // `base` unchanged (dispatch.cpp never selects the level there anyway).
 Kernels avx2_table(Kernels base);
-Kernels neon_table(Kernels base);
 
 } // namespace inframe::simd::detail

@@ -15,38 +15,6 @@
 namespace inframe::simd {
 namespace scalar {
 
-void absdiff_f32(const float* a, const float* b, float* out, int n)
-{
-    for (int i = 0; i < n; ++i) out[i] = std::fabs(a[i] - b[i]);
-}
-
-double row_sum_f64(const float* p, int n)
-{
-    // Fixed 8-lane accumulation shape (see kernel_list.def): this IS the
-    // reference order, not an approximation of a sequential sum.
-    double lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    for (int i = 0; i < n; ++i) lane[i & 7] += static_cast<double>(p[i]);
-    return ((lane[0] + lane[1]) + (lane[2] + lane[3]))
-           + ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
-void vblur_accum(double* acc, const float* row, int n)
-{
-    for (int i = 0; i < n; ++i) acc[i] += static_cast<double>(row[i]);
-}
-
-void vblur_update(double* acc, const float* enter, const float* leave, int n)
-{
-    // Float subtract first, then double add — the order box_blur has
-    // always used; the vector levels replicate it with cvtps_pd.
-    for (int i = 0; i < n; ++i) acc[i] += static_cast<double>(enter[i] - leave[i]);
-}
-
-void vblur_store(const double* acc, float* out, int n, float norm)
-{
-    for (int i = 0; i < n; ++i) out[i] = static_cast<float>(acc[i]) * norm;
-}
-
 void box_blur_h(const float* const* src, float* const* dst, int lanes, int width, int stride,
                 int radius)
 {

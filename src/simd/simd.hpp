@@ -1,20 +1,21 @@
 // Runtime-dispatched SIMD kernel layer.
 //
-// The per-pixel hot paths of the encoder and decoder (chessboard embed and
-// clamp, box blur, per-block residuals and means) and the camera's sensor
-// noise (Box-Muller) funnel through the function-pointer table below. A scalar reference implementation is
-// always built, plus one vector level per ISA: AVX2 on x86-64 (hardware
-// permitting), NEON on aarch64. The active table is chosen once, at first
-// use:
+// Two loops the compiler cannot vectorize from plain C++ funnel through
+// the function-pointer table below: the box blur's horizontal pass
+// (sliding windows over strided streams, one stream per vector lane) and
+// the camera's sensor noise (Box-Muller with an in-tree log, sin and cos).
+// Every other hot loop is plain C++ that the compiler vectorizes for the
+// build target. A scalar reference implementation is always built, plus
+// AVX2 on x86-64 (hardware permitting); other hosts run the reference. The
+// active table is chosen once, at first use:
 //
-//   INFRAME_SIMD=scalar|avx2|neon   overrides auto-detection (a level the
-//                                   host cannot run falls back to the
-//                                   best supported one)
+//   INFRAME_SIMD=scalar|avx2   overrides auto-detection (a level the host
+//                              cannot run falls back to the best supported
+//                              one; any other name throws)
 //
 // Determinism contract: every vector kernel is bit-identical to the
-// scalar reference for finite inputs, because every kernel is elementwise
-// or replicates the reference's fixed accumulation shape (see
-// kernel_list.def). Decoded payload bits are
+// scalar reference, because each lane replays the reference's op sequence
+// (see kernel_list.def). Decoded payload bits are
 // therefore identical at every SIMD level, which
 // tests/core/test_parallel_determinism.cpp pins end to end and
 // tests/simd/test_kernel_parity.cpp pins kernel by kernel with a seeded
@@ -29,7 +30,7 @@
 
 namespace inframe::simd {
 
-enum class Level : int { scalar = 0, avx2 = 1, neon = 2 };
+enum class Level : int { scalar = 0, avx2 = 1 };
 
 const char* to_string(Level level);
 
@@ -61,7 +62,7 @@ const Kernels& kernels_for(Level level);
 // previous level. Not safe to call concurrently with running kernels.
 Level set_active_level(Level level);
 
-// Parses "scalar" | "avx2" | "neon" (case-insensitive); throws
+// Parses "scalar" | "avx2" (case-insensitive); throws
 // Contract_violation on anything else.
 Level level_from_name(const std::string& name);
 

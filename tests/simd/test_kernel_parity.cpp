@@ -8,8 +8,9 @@
 //
 // Case generation deliberately covers the classic vectorization traps:
 // sizes hitting every width-mod-lanes remainder, stride != width streams
-// for box_blur_h, negative zero inputs, and for box_muller_f64 the edges of
-// its domain and of the pi/2 reduction's quadrants.
+// for box_blur_h, negative zero and non-finite (NaN, +-Inf) samples, and for
+// box_muller_f64 the edges of its domain and of the pi/2 reduction's
+// quadrants.
 
 #include "simd/simd.hpp"
 #include "util/contract.hpp"
@@ -88,14 +89,6 @@ std::vector<float> random_floats(std::mt19937& rng, int n)
     return v;
 }
 
-std::vector<double> random_doubles(std::mt19937& rng, int n)
-{
-    std::vector<double> v(static_cast<std::size_t>(n));
-    std::uniform_real_distribution<double> dist(-1.0e6, 1.0e6);
-    for (auto& x : v) x = dist(rng);
-    return v;
-}
-
 // --- bitwise comparison -----------------------------------------------------
 
 template <typename T>
@@ -112,71 +105,7 @@ void expect_bitwise_equal(const std::vector<T>& want, const std::vector<T>& got,
     }
 }
 
-void expect_bits_equal(double want, double got, const char* what)
-{
-    std::uint64_t wb = 0;
-    std::uint64_t gb = 0;
-    std::memcpy(&wb, &want, sizeof wb);
-    std::memcpy(&gb, &got, sizeof gb);
-    EXPECT_EQ(wb, gb) << what << ": scalar=" << want << " vector=" << got;
-}
-
 // --- per-kernel case generators --------------------------------------------
-
-PARITY_KERNEL(absdiff_f32)
-{
-    const int n = random_size(rng);
-    const auto a = random_floats(rng, n);
-    const auto b = random_floats(rng, n);
-    std::vector<float> want(static_cast<std::size_t>(n));
-    std::vector<float> got(static_cast<std::size_t>(n));
-    ref.absdiff_f32(a.data(), b.data(), want.data(), n);
-    tst.absdiff_f32(a.data(), b.data(), got.data(), n);
-    expect_bitwise_equal(want, got, "absdiff_f32");
-}
-
-PARITY_KERNEL(row_sum_f64)
-{
-    const int n = random_size(rng);
-    const auto p = random_floats(rng, n);
-    expect_bits_equal(ref.row_sum_f64(p.data(), n), tst.row_sum_f64(p.data(), n),
-                      "row_sum_f64");
-}
-
-PARITY_KERNEL(vblur_accum)
-{
-    const int n = random_size(rng);
-    const auto row = random_floats(rng, n);
-    auto want = random_doubles(rng, n);
-    auto got = want;
-    ref.vblur_accum(want.data(), row.data(), n);
-    tst.vblur_accum(got.data(), row.data(), n);
-    expect_bitwise_equal(want, got, "vblur_accum");
-}
-
-PARITY_KERNEL(vblur_update)
-{
-    const int n = random_size(rng);
-    const auto enter = random_floats(rng, n);
-    const auto leave = random_floats(rng, n);
-    auto want = random_doubles(rng, n);
-    auto got = want;
-    ref.vblur_update(want.data(), enter.data(), leave.data(), n);
-    tst.vblur_update(got.data(), enter.data(), leave.data(), n);
-    expect_bitwise_equal(want, got, "vblur_update");
-}
-
-PARITY_KERNEL(vblur_store)
-{
-    const int n = random_size(rng);
-    const float norm = 1.0f / static_cast<float>(1 + rng() % 31u);
-    const auto acc = random_doubles(rng, n);
-    std::vector<float> want(static_cast<std::size_t>(n));
-    std::vector<float> got(static_cast<std::size_t>(n));
-    ref.vblur_store(acc.data(), want.data(), n, norm);
-    tst.vblur_store(acc.data(), got.data(), n, norm);
-    expect_bitwise_equal(want, got, "vblur_store");
-}
 
 PARITY_KERNEL(box_blur_h)
 {
@@ -197,6 +126,18 @@ PARITY_KERNEL(box_blur_h)
     for (int lane = 0; lane < lanes; ++lane) {
         const auto s = static_cast<std::size_t>(lane);
         src[s] = random_floats(rng, values);
+        // A quarter of the streams carry a few NaN / +-Inf samples: a window
+        // that takes one in, or lets an Inf leave again (Inf - Inf), turns
+        // NaN, and the vector lanes must produce the reference's bits.
+        if (rng() % 4u == 0) {
+            static const float non_finite[] = {std::numeric_limits<float>::quiet_NaN(),
+                                               std::numeric_limits<float>::infinity(),
+                                               -std::numeric_limits<float>::infinity()};
+            for (int k = 1 + static_cast<int>(rng() % 3u); k > 0; --k) {
+                src[s][rng() % static_cast<unsigned>(values)] =
+                    non_finite[rng() % std::size(non_finite)];
+            }
+        }
         want[s].assign(static_cast<std::size_t>(values), 0.0f);
         got[s].assign(static_cast<std::size_t>(values), 0.0f);
         src_ptr[s] = src[s].data();
@@ -390,11 +331,11 @@ TEST(SimdDispatch, LevelNamesParse)
 {
     EXPECT_EQ(inframe::simd::level_from_name("scalar"), Level::scalar);
     EXPECT_EQ(inframe::simd::level_from_name("Avx2"), Level::avx2);
-    EXPECT_EQ(inframe::simd::level_from_name("neon"), Level::neon);
     EXPECT_THROW(inframe::simd::level_from_name("avx512"),
                  inframe::util::Contract_violation);
     EXPECT_THROW(inframe::simd::level_from_name("sse2"), inframe::util::Contract_violation);
-    for (const Level level : {Level::scalar, Level::avx2, Level::neon}) {
+    EXPECT_THROW(inframe::simd::level_from_name("neon"), inframe::util::Contract_violation);
+    for (const Level level : {Level::scalar, Level::avx2}) {
         EXPECT_EQ(inframe::simd::level_from_name(inframe::simd::to_string(level)), level);
     }
 }
