@@ -5,7 +5,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace inframe::baseline {
 
@@ -42,23 +41,12 @@ std::vector<std::uint8_t> decode_barcode(const Barcode_config& config,
 {
     config.validate();
     const auto& g = config.geometry;
-    const double sx = static_cast<double>(capture.width()) / g.screen_width;
-    const double sy = static_cast<double>(capture.height()) / g.screen_height;
-
     std::vector<double> means(static_cast<std::size_t>(g.block_count()));
     for (int by = 0; by < g.blocks_y; ++by) {
         for (int bx = 0; bx < g.blocks_x; ++bx) {
-            const auto rect = g.block_rect(bx, by);
-            int cx0 = std::clamp(static_cast<int>(std::ceil(rect.x0 * sx)) + 1, 0,
-                                 capture.width() - 2);
-            int cy0 = std::clamp(static_cast<int>(std::ceil(rect.y0 * sy)) + 1, 0,
-                                 capture.height() - 2);
-            int cx1 = std::clamp(static_cast<int>(std::floor((rect.x0 + rect.size) * sx)) - 1,
-                                 cx0 + 1, capture.width());
-            int cy1 = std::clamp(static_cast<int>(std::floor((rect.y0 + rect.size) * sy)) - 1,
-                                 cy0 + 1, capture.height());
+            const auto r = g.capture_rect(bx, by, capture.width(), capture.height());
             means[static_cast<std::size_t>(g.block_index(bx, by))] =
-                img::mean_region(capture, cx0, cy0, cx1 - cx0, cy1 - cy0);
+                img::mean_region(capture, r.x0, r.y0, r.width, r.height);
         }
     }
     // Adaptive threshold at the midpoint of the observed range: robust to

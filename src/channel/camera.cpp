@@ -254,7 +254,8 @@ Camera_params auto_expose(Camera_params params, double scene_mean_level)
     constexpr double reference_level = 180.0;
     constexpr double reference_exposure_s = 1.0 / 480.0;
     constexpr double max_exposure_s = 1.0 / 180.0;
-    util::expects(scene_mean_level >= 0.0, "auto_expose: scene level must be non-negative");
+    util::expects(std::isfinite(scene_mean_level) && scene_mean_level >= 0.0,
+                  "auto_expose: scene level must be finite and non-negative");
     const double level = std::max(scene_mean_level, 1.0);
     const double target = reference_exposure_s * reference_level / level;
     const double frame_limit = 1.0 / params.fps - params.readout_s;

@@ -152,7 +152,8 @@ void apply_sensor_noise_rows(img::Imagef& integrated, const Camera_params& param
 std::uint64_t row_noise_seed(std::uint64_t seed, std::int64_t capture_index, int row);
 
 // Auto-exposure metering: returns a copy of `params` with exposure_s and
-// gain set the way a phone camera meters a scene of the given mean level.
+// gain set the way a phone camera meters a scene of the given mean level
+// (which must be finite and non-negative).
 //
 // The camera aims for the reference exposure (1/480 s) at a bright scene
 // (level 180, the paper's light-gray video at 100% display brightness);

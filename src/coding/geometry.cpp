@@ -1,5 +1,8 @@
 #include "coding/geometry.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 namespace inframe::coding {
 
 void Code_geometry::validate() const
@@ -21,6 +24,23 @@ Block_rect Code_geometry::block_rect(int bx, int by) const
     util::expects(bx >= 0 && bx < blocks_x && by >= 0 && by < blocks_y,
                   "geometry: block coordinate out of range");
     return Block_rect{origin_x() + bx * block_px(), origin_y() + by * block_px(), block_px()};
+}
+
+Capture_rect Code_geometry::capture_rect(int bx, int by, int capture_width,
+                                         int capture_height) const
+{
+    util::expects(capture_width > 0 && capture_height > 0, "geometry: capture must be non-empty");
+    const Block_rect rect = block_rect(bx, by);
+    const double sx = static_cast<double>(capture_width) / screen_width;
+    const double sy = static_cast<double>(capture_height) / screen_height;
+    const int x0 = std::clamp(static_cast<int>(std::ceil(rect.x0 * sx)) + 1, 0, capture_width - 1);
+    const int y0 =
+        std::clamp(static_cast<int>(std::ceil(rect.y0 * sy)) + 1, 0, capture_height - 1);
+    const int x1 = std::clamp(static_cast<int>(std::floor((rect.x0 + rect.size) * sx)) - 1,
+                              x0 + 1, capture_width);
+    const int y1 = std::clamp(static_cast<int>(std::floor((rect.y0 + rect.size) * sy)) - 1,
+                              y0 + 1, capture_height);
+    return Capture_rect{x0, y0, x1 - x0, y1 - y0};
 }
 
 int Code_geometry::block_index(int bx, int by) const

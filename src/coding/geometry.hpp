@@ -27,6 +27,14 @@ struct Block_rect {
     int size = 0; // square side in Element pixels
 };
 
+// A rectangle of capture (sensor) pixels; never empty.
+struct Capture_rect {
+    int x0 = 0;
+    int y0 = 0;
+    int width = 0;
+    int height = 0;
+};
+
 struct Code_geometry {
     int screen_width = 1920;
     int screen_height = 1080;
@@ -63,6 +71,12 @@ struct Code_geometry {
 
     // Element-pixel rectangle of Block (bx, by).
     Block_rect block_rect(int bx, int by) const;
+
+    // Where Block (bx, by) lands on a capture_width x capture_height
+    // capture of the whole screen: its rectangle scaled to the capture and
+    // shrunk by one capture pixel on each side, so neighbouring blocks do
+    // not bleed in, then clamped to at least one pixel inside the capture.
+    Capture_rect capture_rect(int bx, int by, int capture_width, int capture_height) const;
 
     // Raster index of Block (bx, by) within the data frame.
     int block_index(int bx, int by) const;

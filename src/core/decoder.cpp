@@ -137,47 +137,39 @@ void Inframe_decoder::build_template()
     });
 }
 
-std::vector<double> Inframe_decoder::block_metrics(const img::Imagef& capture) const
+const img::Imagef& Inframe_decoder::luma_of(const img::Imagef& capture, img::Imagef& gray) const
 {
     util::expects(capture.width() == params_.capture_width
                       && capture.height() == params_.capture_height,
                   "decoder: capture size mismatch");
-    if (capture.channels() != 1) {
-        // The pattern is a luminance modulation; demodulate on luminance.
-        const img::Imagef gray = img::to_gray(capture);
-        return params_.detector == Detector::matched ? matched_metrics(gray)
-                                                     : noise_level_metrics(gray);
-    }
-    return params_.detector == Detector::matched ? matched_metrics(capture)
-                                                 : noise_level_metrics(capture);
+    if (capture.channels() == 1) return capture;
+    gray = img::to_gray(capture);
+    return gray;
 }
 
-std::vector<double> Inframe_decoder::block_levels(const img::Imagef& capture) const
+std::vector<double> Inframe_decoder::luma_metrics(const img::Imagef& luma) const
 {
-    util::expects(capture.width() == params_.capture_width
-                      && capture.height() == params_.capture_height,
-                  "decoder: capture size mismatch");
-    const img::Imagef gray = capture.channels() == 1 ? img::Imagef() : img::to_gray(capture);
-    const img::Imagef& luma = capture.channels() == 1 ? capture : gray;
+    return params_.detector == Detector::matched ? matched_metrics(luma)
+                                                 : noise_level_metrics(luma);
+}
 
+std::vector<double> Inframe_decoder::block_metrics(const img::Imagef& capture) const
+{
+    img::Imagef gray;
+    return luma_metrics(luma_of(capture, gray));
+}
+
+std::vector<double> Inframe_decoder::block_levels(const img::Imagef& luma) const
+{
     const auto& g = params_.geometry;
     std::vector<double> levels(static_cast<std::size_t>(g.block_count()), 0.0);
-    // Same block->capture-rectangle mapping as the noise-level detector;
-    // each block writes one slot, so rows fan out with no shared state.
+    // Each block writes one slot, so rows fan out with no shared state.
     util::parallel_for(0, g.blocks_y, 1, [&](std::int64_t by0, std::int64_t by1) {
         for (int by = static_cast<int>(by0); by < static_cast<int>(by1); ++by) {
             for (int bx = 0; bx < g.blocks_x; ++bx) {
-                const auto rect = g.block_rect(bx, by);
-                int cx0 = static_cast<int>(std::ceil(rect.x0 * scale_x_)) + 1;
-                int cy0 = static_cast<int>(std::ceil(rect.y0 * scale_y_)) + 1;
-                int cx1 = static_cast<int>(std::floor((rect.x0 + rect.size) * scale_x_)) - 1;
-                int cy1 = static_cast<int>(std::floor((rect.y0 + rect.size) * scale_y_)) - 1;
-                cx0 = std::clamp(cx0, 0, luma.width() - 1);
-                cy0 = std::clamp(cy0, 0, luma.height() - 1);
-                cx1 = std::clamp(cx1, cx0 + 1, luma.width());
-                cy1 = std::clamp(cy1, cy0 + 1, luma.height());
+                const auto r = g.capture_rect(bx, by, luma.width(), luma.height());
                 levels[static_cast<std::size_t>(g.block_index(bx, by))] =
-                    img::mean_region(luma, cx0, cy0, cx1 - cx0, cy1 - cy0);
+                    img::mean_region(luma, r.x0, r.y0, r.width, r.height);
             }
         }
     });
@@ -284,22 +276,10 @@ std::vector<double> Inframe_decoder::noise_level_metrics(const img::Imagef& capt
     util::parallel_for(0, g.blocks_y, 1, [&](std::int64_t by0, std::int64_t by1) {
     for (int by = static_cast<int>(by0); by < static_cast<int>(by1); ++by) {
         for (int bx = 0; bx < g.blocks_x; ++bx) {
-            const auto rect = g.block_rect(bx, by);
-            // Block rectangle in capture coordinates, shrunk by one sensor
-            // pixel on each side so neighbouring blocks do not bleed in.
-            int cx0 = static_cast<int>(std::ceil(rect.x0 * scale_x_)) + 1;
-            int cy0 = static_cast<int>(std::ceil(rect.y0 * scale_y_)) + 1;
-            int cx1 = static_cast<int>(std::floor((rect.x0 + rect.size) * scale_x_)) - 1;
-            int cy1 = static_cast<int>(std::floor((rect.y0 + rect.size) * scale_y_)) - 1;
-            cx0 = std::clamp(cx0, 0, capture.width() - 1);
-            cy0 = std::clamp(cy0, 0, capture.height() - 1);
-            cx1 = std::clamp(cx1, cx0 + 1, capture.width());
-            cy1 = std::clamp(cy1, cy0 + 1, capture.height());
-            const int w = cx1 - cx0;
-            const int h = cy1 - cy0;
-            double metric = img::mean_region(high_band, cx0, cy0, w, h);
+            const auto r = g.capture_rect(bx, by, capture.width(), capture.height());
+            double metric = img::mean_region(high_band, r.x0, r.y0, r.width, r.height);
             if (params_.texture_compensation) {
-                metric -= img::mean_region(mid_band, cx0, cy0, w, h);
+                metric -= img::mean_region(mid_band, r.x0, r.y0, r.width, r.height);
             }
             metrics[static_cast<std::size_t>(g.block_index(bx, by))] = std::max(metric, 0.0);
         }
@@ -407,8 +387,10 @@ std::vector<Data_frame_result> Inframe_decoder::push_capture(const img::Imagef& 
     std::vector<double> metrics;
     std::vector<double> levels;
     if (votes) {
-        metrics = block_metrics(capture);
-        if (params_.erasure_aware) levels = block_levels(capture);
+        img::Imagef gray;
+        const img::Imagef& luma = luma_of(capture, gray);
+        metrics = luma_metrics(luma);
+        if (params_.erasure_aware) levels = block_levels(luma);
         util::expects(all_finite(metrics) && all_finite(levels),
                       "decoder: capture gives non-finite block metrics (NaN or Inf pixels)");
     }

@@ -123,11 +123,6 @@ public:
     // and benches).
     std::vector<double> block_metrics(const img::Imagef& capture) const;
 
-    // Per-block mean captured level (luminance). The occlusion mask is
-    // built from these: an opaque occluder pulls whole blocks far below
-    // the frame's median level.
-    std::vector<double> block_levels(const img::Imagef& capture) const;
-
     // Otsu split of a metric vector. bimodal is false when the two
     // classes are not separated (no detectable signal population). Throws
     // Contract_violation on a non-finite metric.
@@ -149,6 +144,15 @@ public:
 
 private:
     Data_frame_result finalize();
+    // The capture's luminance, on which the pattern is demodulated: the
+    // capture itself when it has one channel, else its luma in `gray`.
+    // Throws Contract_violation on a capture of the wrong size.
+    const img::Imagef& luma_of(const img::Imagef& capture, img::Imagef& gray) const;
+    std::vector<double> luma_metrics(const img::Imagef& luma) const;
+    // Per-block mean captured level of a luma capture. The occlusion mask
+    // is built from these: an opaque occluder pulls whole blocks far below
+    // the frame's median level.
+    std::vector<double> block_levels(const img::Imagef& luma) const;
     std::vector<double> noise_level_metrics(const img::Imagef& capture) const;
     std::vector<double> matched_metrics(const img::Imagef& capture) const;
     void build_template();

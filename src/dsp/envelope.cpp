@@ -36,6 +36,18 @@ double transition_gain_10(Transition_shape shape, double t)
     return transition_gain_01(shape, 1.0 - t);
 }
 
+double envelope_gain(std::uint8_t bit, std::uint8_t next_bit, int phase, int tau,
+                     Transition_shape shape)
+{
+    util::expects(tau >= 2 && tau % 2 == 0,
+                  "smoothing cycle tau must be an even number of display frames");
+    util::expects(phase >= 0 && phase < tau, "envelope phase must be in [0, tau)");
+    const int half = tau / 2;
+    if (bit == next_bit || phase < half) return bit ? 1.0 : 0.0;
+    const double t = static_cast<double>(phase - half + 1) / static_cast<double>(half);
+    return bit ? transition_gain_10(shape, t) : transition_gain_01(shape, t);
+}
+
 std::vector<double> smoothing_envelope(std::span<const std::uint8_t> bits, int tau,
                                        Transition_shape shape)
 {
@@ -43,21 +55,10 @@ std::vector<double> smoothing_envelope(std::span<const std::uint8_t> bits, int t
                   "smoothing cycle tau must be an even number of display frames");
     std::vector<double> envelope;
     envelope.reserve(bits.size() * static_cast<std::size_t>(tau));
-    const int half = tau / 2;
     for (std::size_t i = 0; i < bits.size(); ++i) {
-        const double level = bits[i] ? 1.0 : 0.0;
-        const bool flips = i + 1 < bits.size() && bits[i + 1] != bits[i];
+        const std::uint8_t next = i + 1 < bits.size() ? bits[i + 1] : bits[i];
         for (int k = 0; k < tau; ++k) {
-            if (!flips || k < half) {
-                envelope.push_back(level);
-                continue;
-            }
-            // Transition occupies the second half of the cycle; t reaches
-            // 1 exactly on the last frame so the next period starts at the
-            // new level with no residual step.
-            const double t = static_cast<double>(k - half + 1) / static_cast<double>(half);
-            envelope.push_back(bits[i] ? transition_gain_10(shape, t)
-                                       : transition_gain_01(shape, t));
+            envelope.push_back(envelope_gain(bits[i], next, k, tau, shape));
         }
     }
     return envelope;

@@ -32,13 +32,20 @@ double transition_gain_01(Transition_shape shape, double t);
 // (mirror image: gain(0) == 1, gain(1) == 0).
 double transition_gain_10(Transition_shape shape, double t);
 
-// Per-display-frame amplitude envelope for a sequence of data bits.
+// The envelope rule for one display frame of a data frame period.
 //
 // One data frame occupies `tau` display frames (tau >= 2, even: the frames
-// come in complementary +D/-D pairs). Within a data frame period the
-// amplitude holds at the bit's level for the first half and, if the *next*
-// bit differs, transitions over the second half — the paper's "switch at
-// the tau/2-th iteration".
+// come in complementary +D/-D pairs). At frame `phase` (0 <= phase < tau)
+// the amplitude holds at the bit's level for the first half and, if
+// `next_bit` differs, transitions over the second half with
+// t = (phase - tau/2 + 1) / (tau/2) — the paper's "switch at the tau/2-th
+// iteration". t reaches 1 on the last frame, so the next period starts at
+// the new level with no residual step.
+double envelope_gain(std::uint8_t bit, std::uint8_t next_bit, int phase, int tau,
+                     Transition_shape shape = Transition_shape::srrc);
+
+// Per-display-frame amplitude envelope for a sequence of data bits: the
+// rule above frame by frame; the last bit holds for its whole period.
 //
 // Returns one gain in [0, 1] per display frame, length bits.size() * tau.
 std::vector<double> smoothing_envelope(std::span<const std::uint8_t> bits, int tau,

@@ -539,6 +539,8 @@ TEST(AutoExpose, Validation)
     EXPECT_THROW(auto_expose(Camera_params{}, -1.0), Contract_violation);
     EXPECT_THROW(auto_expose(Camera_params{}, std::numeric_limits<double>::quiet_NaN()),
                  Contract_violation);
+    EXPECT_THROW(auto_expose(Camera_params{}, std::numeric_limits<double>::infinity()),
+                 Contract_violation);
 }
 
 TEST(SensorNoise, GainScalesAndClamps)
