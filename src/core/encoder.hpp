@@ -69,9 +69,6 @@ public:
     const Inframe_config& config() const { return config_; }
 
 private:
-    // Envelope gain for a block at phase k of the tau cycle.
-    float envelope_gain(std::uint8_t current_bit, std::uint8_t next_bit, int phase) const;
-
     const std::vector<std::uint8_t>& bits_for(std::int64_t data_index);
 
     Inframe_config config_;
